@@ -5,13 +5,13 @@ a ``C x D_1 x ... x D_N`` input with a ``T x C x K_1 x ... x K_N``
 kernel. Factorizing the kernel turns the convolution into a pipeline of
 1x1 (channel) contractions and cheap depthwise / small convolutions:
 
-* Kruskal form: 1x1 conv down to the rank, one depthwise 1-D conv per
-  spatial mode, 1x1 conv up to the output channels.
+* Separable form: 1x1 conv down to the rank, one depthwise 1-D conv
+  per spatial mode, 1x1 conv up to the output channels, with an
+  explicit component-weight vector; adding one more 1-D factor
+  transduces it to an extra dimension.
+* Kruskal form: the 2-D separable form with unit weights.
 * Tucker form: 1x1 conv down, one regular (small) convolution with the
   spatial factors absorbed into the core, 1x1 conv up.
-* Separable form: the Kruskal pipeline for any number of spatial
-  dimensions, with an explicit component-weight vector; adding one more
-  1-D factor transduces it to an extra dimension.
 
 Every pipeline is numerically equivalent to the direct convolution with
 the kernel reconstructed from its factors.
@@ -45,45 +45,6 @@ __all__ = [
 
 # einsum subscript pool; 't', 'c', 'r' are reserved for channels/rank
 _LETTERS = "abdefghijklmnopq"
-
-
-@dataclass
-class KruskalConvKernel:
-    """Rank-R Kruskal form of a 4th-order conv kernel.
-
-    Factor columns are indexed by the CP rank: ``u_out`` is ``T x R``,
-    ``u_in`` is ``C x R``, ``u_h`` is ``H x R`` and ``u_w`` is ``W x R``.
-    Component weights are absorbed into ``u_out``.
-    """
-
-    u_out: np.ndarray
-    u_in: np.ndarray
-    u_h: np.ndarray
-    u_w: np.ndarray
-
-    def __post_init__(self):
-        self.u_out = np.asarray(self.u_out, dtype=np.float64)
-        self.u_in = np.asarray(self.u_in, dtype=np.float64)
-        self.u_h = np.asarray(self.u_h, dtype=np.float64)
-        self.u_w = np.asarray(self.u_w, dtype=np.float64)
-        mats = [self.u_out, self.u_in, self.u_h, self.u_w]
-        r = mats[0].shape[1] if mats[0].ndim == 2 else -1
-        if any(m.ndim != 2 or m.shape[1] != r for m in mats):
-            raise ValueError("all Kruskal factors must share the rank")
-
-    @property
-    def rank(self) -> int:
-        return self.u_out.shape[1]
-
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum(
-            "tr,cr,hr,wr->tchw", self.u_out, self.u_in, self.u_h, self.u_w
-        )
-
-    def param_count(self) -> int:
-        return int(
-            sum(m.size for m in (self.u_out, self.u_in, self.u_h, self.u_w))
-        )
 
 
 @dataclass
@@ -146,12 +107,35 @@ class SeparableConvKernel:
         )
 
     def param_count(self) -> int:
-        return int(
-            self.weights.size
-            + self.u_out.size
-            + self.u_in.size
-            + sum(m.size for m in self.spatial)
-        )
+        mats = [self.weights, self.u_out, self.u_in, *self.spatial]
+        return int(sum(m.size for m in mats))
+
+
+class KruskalConvKernel(SeparableConvKernel):
+    """Rank-R Kruskal form of a 4th-order conv kernel: the 2-D separable
+    kernel with unit component weights.
+
+    Factor columns are indexed by the CP rank: ``u_out`` is ``T x R``,
+    ``u_in`` is ``C x R``, ``u_h`` is ``H x R`` and ``u_w`` is ``W x R``.
+    Component weights are absorbed into ``u_out``, so the unit
+    ``weights`` are not counted as parameters.
+    """
+
+    def __init__(self, u_out, u_in, u_h, u_w):
+        u_out = np.asarray(u_out, dtype=np.float64)
+        rank = u_out.shape[1] if u_out.ndim == 2 else 0
+        super().__init__(np.ones(rank), u_out, u_in, [u_h, u_w])
+
+    @property
+    def u_h(self) -> np.ndarray:
+        return self.spatial[0]
+
+    @property
+    def u_w(self) -> np.ndarray:
+        return self.spatial[1]
+
+    def param_count(self) -> int:
+        return super().param_count() - self.rank
 
 
 def conv_nd_direct(x, kernel) -> np.ndarray:
@@ -227,17 +211,14 @@ def _depthwise_conv1d(x, bank, axis: int) -> np.ndarray:
 def kruskal_conv2d(x, kernel: KruskalConvKernel) -> np.ndarray:
     """2-D convolution through the Kruskal pipeline.
 
-    1x1 conv down to the rank, depthwise convs over height then width,
-    1x1 conv up to the output channels. Matches
-    ``conv2d_direct(x, kernel.reconstruct())``.
+    The 2-D case of :func:`separable_convnd`: 1x1 conv down to the rank,
+    depthwise convs over height then width, 1x1 conv up to the output
+    channels. Matches ``conv2d_direct(x, kernel.reconstruct())``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError("kruskal_conv2d expects a C x H x W input")
-    z = conv1x1(x, kernel.u_in.T)
-    z = _depthwise_conv1d(z, kernel.u_h, axis=1)
-    z = _depthwise_conv1d(z, kernel.u_w, axis=2)
-    return conv1x1(z, kernel.u_out)
+    return separable_convnd(x, kernel)
 
 
 def tucker_conv2d(x, kernel: TuckerConvKernel) -> np.ndarray:

@@ -212,20 +212,6 @@ def _cp_init(x, rank, opts, rng):
     return factors
 
 
-def _fix_kruskal_signs(weights, factors):
-    # flip each column of every factor but the last so its
-    # largest-magnitude entry is positive; compensate in the last factor
-    if len(factors) < 2:
-        return
-    total = np.ones(weights.shape[0])
-    for f in factors[:-1]:
-        idx = np.argmax(np.abs(f), axis=0)
-        signs = np.where(f[idx, np.arange(f.shape[1])] < 0, -1.0, 1.0)
-        f *= signs
-        total *= signs
-    factors[-1] *= total
-
-
 def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = False):
     """CP decomposition by alternating least squares.
 
@@ -238,8 +224,9 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
 
     With ``return_info=True`` also returns a dict with the fit trace,
     iteration count, convergence flag, and an over-parametrization flag
-    (set, with a warning, when ``rank`` exceeds what any unfolding's
-    column space can support).
+    (set, with a warning, when ``rank`` exceeds the column count
+    ``size // I_n`` of some mode-``n`` unfolding; a CP rank may exceed
+    the mode sizes themselves).
     """
     x = np.asarray(x, dtype=np.float64)
     if rank < 1:
@@ -248,10 +235,10 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     rng = np.random.default_rng(opts.seed)
 
     size = x.size
-    over = any(rank > min(s, size // s) for s in x.shape)
+    over = any(rank > size // s for s in x.shape)
     if over:
         warnings.warn(
-            f"rank {rank} exceeds the column space of some unfolding of "
+            f"rank {rank} exceeds the column count of some unfolding of "
             f"shape {x.shape}; the model is over-parametrized",
             RuntimeWarning,
             stacklevel=2,
@@ -288,7 +275,14 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
             converged = True
             break
 
-    _fix_kruskal_signs(weights, factors)
+    # flip each column of every factor but the last so its
+    # largest-magnitude entry is positive; compensate in the last factor
+    total = np.ones(rank)
+    for f in factors[:-1]:
+        signs = linalg.column_signs(f)
+        f *= signs
+        total *= signs
+    factors[-1] *= total
     result = KruskalTensor(weights, factors)
     if not return_info:
         return result
@@ -315,6 +309,30 @@ def _check_tucker_ranks(shape, ranks):
     return ranks
 
 
+def _hosvd_bases(x, ranks):
+    # leading left singular vectors of the first len(ranks) unfoldings
+    return [
+        linalg.left_singular_basis(unfold(x, n), r)
+        for n, r in enumerate(ranks)
+    ]
+
+
+def _hooi_sweeps(x, factors, ranks):
+    # Higher-order orthogonal iteration over the modes that ``factors``
+    # covers (the leading ones); later modes are never projected. Each
+    # sweep refits every factor, in place, as the dominant subspace of
+    # ``x`` projected onto all the other factors, then yields the core.
+    modes = range(len(factors))
+    while True:
+        for n in modes:
+            partial = x
+            for k in modes:
+                if k != n:
+                    partial = mode_n_product(partial, factors[k].T, k)
+            factors[n] = linalg.left_singular_basis(unfold(partial, n), ranks[n])
+        yield multi_mode_product(x, factors, transpose=True)
+
+
 def tucker_hosvd(x, ranks) -> TuckerTensor:
     """Truncated higher-order SVD.
 
@@ -324,10 +342,7 @@ def tucker_hosvd(x, ranks) -> TuckerTensor:
     """
     x = np.asarray(x, dtype=np.float64)
     ranks = _check_tucker_ranks(x.shape, ranks)
-    factors = [
-        linalg.left_singular_basis(unfold(x, n), r)
-        for n, r in enumerate(ranks)
-    ]
+    factors = _hosvd_bases(x, ranks)
     core = multi_mode_product(x, factors, transpose=True)
     return TuckerTensor(core, factors)
 
@@ -345,19 +360,13 @@ def tucker_hooi(
     x = np.asarray(x, dtype=np.float64)
     ranks = _check_tucker_ranks(x.shape, ranks)
     opts = opts or DecompOptions()
-    factors = tucker_hosvd(x, ranks).factors
+    factors = _hosvd_bases(x, ranks)
     norm_x = frobenius(x)
     fits = []
     converged = False
 
-    for sweep in range(opts.max_iters):
-        for n in range(x.ndim):
-            partial = x
-            for k in range(x.ndim):
-                if k != n:
-                    partial = mode_n_product(partial, factors[k].T, k)
-            factors[n] = linalg.left_singular_basis(unfold(partial, n), ranks[n])
-        core = multi_mode_product(x, factors, transpose=True)
+    sweeps = _hooi_sweeps(x, factors, ranks)
+    for sweep, core in zip(range(opts.max_iters), sweeps):
         # orthonormal factors: ||X - Xhat||^2 = ||X||^2 - ||core||^2
         resid_sq = max(norm_x**2 - frobenius(core) ** 2, 0.0)
         fit = 1.0 - np.sqrt(resid_sq) / norm_x if norm_x else 1.0
@@ -366,7 +375,7 @@ def tucker_hooi(
             converged = True
             break
 
-    result = TuckerTensor(multi_mode_product(x, factors, transpose=True), factors)
+    result = TuckerTensor(core, factors)
     if not return_info:
         return result
     return result, {
@@ -450,16 +459,15 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
     r_prev = 1
     for k in range(n - 1):
         mat = current.reshape(r_prev * x.shape[k], -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        u, v = linalg._fix_signs(u, vh.T)
+        f = linalg.svd(mat)
         if tol is not None:
-            tail = np.cumsum(s[::-1] ** 2)[::-1]
+            tail = np.cumsum(f.S[::-1] ** 2)[::-1]
             keep = int(np.sum(tail > budget_sq))
             r = max(keep, 1)
         else:
             r = chain[k + 1]
-        cores.append(u[:, :r].reshape(r_prev, x.shape[k], r))
-        current = (s[:r, None] * v[:, :r].T)
+        cores.append(f.U[:, :r].reshape(r_prev, x.shape[k], r))
+        current = (f.S[:r, None] * f.V[:, :r].T)
         r_prev = r
     cores.append(current.reshape(r_prev, x.shape[-1], 1))
     return TTTensor(cores)
@@ -504,32 +512,16 @@ def mpca(x, ranks, opts: DecompOptions | None = None) -> MpcaResult:
     ranks = _check_tucker_ranks(x.shape[:n_feat], ranks)
     opts = opts or DecompOptions()
 
-    projections = [
-        linalg.left_singular_basis(unfold(x, n), r)
-        for n, r in enumerate(ranks)
-    ]
+    projections = _hosvd_bases(x, ranks)
     total = frobenius(x) ** 2
     scatters = []
-    for sweep in range(opts.max_iters):
-        for n in range(n_feat):
-            partial = x
-            for k in range(n_feat):
-                if k != n:
-                    partial = mode_n_product(partial, projections[k].T, k)
-            projections[n] = linalg.left_singular_basis(
-                unfold(partial, n), ranks[n]
-            )
-        cores = multi_mode_product(
-            x, projections, modes=range(n_feat), transpose=True
-        )
+    sweeps = _hooi_sweeps(x, projections, ranks)
+    for sweep, cores in zip(range(opts.max_iters), sweeps):
         scatters.append(frobenius(cores) ** 2)
         if sweep > 0 and abs(scatters[-1] - scatters[-2]) <= opts.tol * max(
             total, 1.0
         ):
             break
-    cores = multi_mode_product(
-        x, projections, modes=range(n_feat), transpose=True
-    )
     return MpcaResult(
         projections=projections,
         cores=cores,

@@ -145,11 +145,21 @@ def save_manifest(directory, fmt: str, arrays: dict, meta: dict) -> None:
     _dump_manifest(os.path.join(directory, "manifest.json"), manifest)
 
 
+def _entry_path(directory, mpath, fname):
+    # a file entry must name a file directly inside the directory
+    if not isinstance(fname, str) or fname in ("", ".", "..") or (
+        os.path.basename(fname) != fname
+    ):
+        raise FormatError(f"{mpath}: file entry {fname!r} is not a plain file name")
+    return os.path.join(directory, fname)
+
+
 def load_manifest(directory) -> tuple[str, dict, dict]:
     """Read a manifest directory back.
 
     Returns ``(format, arrays, meta)`` where ``arrays`` mirrors the
-    structure passed to :func:`save_manifest`.
+    structure passed to :func:`save_manifest`. A file entry that is not
+    a plain file name inside ``directory`` raises :class:`FormatError`.
     """
     mpath = os.path.join(directory, "manifest.json")
     try:
@@ -159,18 +169,22 @@ def load_manifest(directory) -> tuple[str, dict, dict]:
         raise FormatError(f"{directory}: missing manifest.json") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{mpath}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{mpath}: top level is not a JSON object")
     try:
         fmt = manifest["format"]
         files = manifest["files"]
     except KeyError as exc:
         raise FormatError(f"{mpath}: missing required key {exc}") from None
+    if not isinstance(files, dict):
+        raise FormatError(f"{mpath}: 'files' is not a JSON object")
     arrays = {}
     for name, value in files.items():
         if isinstance(value, list):
             arrays[name] = [
-                read_tnsr(os.path.join(directory, f)) for f in value
+                read_tnsr(_entry_path(directory, mpath, f)) for f in value
             ]
         else:
-            arrays[name] = read_tnsr(os.path.join(directory, value))
+            arrays[name] = read_tnsr(_entry_path(directory, mpath, value))
     meta = {k: v for k, v in manifest.items() if k not in ("format", "files")}
     return fmt, arrays, meta

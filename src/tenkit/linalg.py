@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "SVDResult",
+    "column_signs",
     "svd",
     "truncated_svd",
     "soft_threshold",
@@ -46,12 +47,18 @@ class SVDResult:
         return self.S.shape[0]
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def column_signs(u) -> np.ndarray:
+    """Per-column signs (+1 or -1) that make the largest-magnitude entry
+    of each column of ``u`` non-negative, the first such entry on ties.
+
+    Multiplying paired factor columns (U and V of an SVD, or the factors
+    of a Kruskal tensor) by these signs fixes their sign ambiguity.
+    """
+    u = np.asarray(u)
     # np.argmax picks the first maximal entry, which breaks ties by
     # lowest row index.
     idx = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    return u * signs, v * signs
+    return np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
 def svd(a) -> SVDResult:
@@ -66,8 +73,8 @@ def svd(a) -> SVDResult:
     if not np.all(np.isfinite(a)):
         raise ValueError("svd requires finite entries")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u, v = _fix_signs(u, vh.T)
-    return SVDResult(U=u, S=s, V=v)
+    signs = column_signs(u)
+    return SVDResult(U=u * signs, S=s, V=vh.T * signs)
 
 
 def truncated_svd(a, rank: int) -> SVDResult:
@@ -99,9 +106,8 @@ def left_singular_basis(a, rank: int) -> np.ndarray:
         )
     if rank <= min(a.shape):
         return svd(a).U[:, :rank]
-    u, _, _ = np.linalg.svd(a, full_matrices=True)
-    u, _ = _fix_signs(u, u)
-    return u[:, :rank]
+    u = np.linalg.svd(a, full_matrices=True)[0]
+    return (u * column_signs(u))[:, :rank]
 
 
 def soft_threshold(x, tau: float) -> np.ndarray:

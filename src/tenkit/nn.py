@@ -130,10 +130,9 @@ class TrlGrads:
 
 def _trl_project(x, layer):
     # per-sample projection of the input modes onto the core bases
-    z = multi_mode_product(
+    return multi_mode_product(
         x, layer.weight.factors[:-1], modes=range(1, x.ndim), transpose=True
     )
-    return z
 
 
 def trl_forward(x, layer: TrlLayer) -> np.ndarray:
@@ -183,10 +182,8 @@ def trl_grad(x, layer: TrlLayer, upstream) -> TrlGrads:
                     partial, layer.weight.factors[k].T, k + 1
                 )
         # contract everything except input mode n
-        axes_p = [0] + [k + 1 for k in range(n_in) if k != n]
-        axes_b = [0] + [k + 1 for k in range(n_in) if k != n]
-        g = np.tensordot(partial, b, axes=(axes_p, axes_b))
-        g_factors.append(g)
+        axes = [0] + [k + 1 for k in range(n_in) if k != n]
+        g_factors.append(np.tensordot(partial, b, axes=(axes, axes)))
     g_factors.append(g_out)
     return TrlGrads(core=g_core, factors=g_factors, bias=g_bias)
 
@@ -402,42 +399,49 @@ class PolyNet:
 
 
 def _polynet_states(z, net):
-    s = [f.T @ z for f in net.factors]
+    s = [z @ f for f in net.factors]
     xs = [s[0]]
     for n in range(1, net.order):
         xs.append(s[n] * xs[-1] + xs[-1])
     return s, xs
 
 
-def polynet_forward(z, net: PolyNet) -> np.ndarray:
-    """Evaluate the polynomial network at a single input vector."""
+def _check_polynet_input(z, net):
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (net.factors[0].shape[0],):
+    d = net.factors[0].shape[0]
+    if z.ndim not in (1, 2) or z.shape[-1] != d:
         raise ValueError(
-            f"input of shape {z.shape} does not match d = "
-            f"{net.factors[0].shape[0]}"
+            f"input of shape {z.shape} is neither (d,) nor (S, d) with d = {d}"
         )
+    return z
+
+
+def polynet_forward(z, net: PolyNet) -> np.ndarray:
+    """Evaluate the polynomial network at one input vector ``(d,)`` or a
+    batch of them ``(S, d)``; the output is ``(o,)`` or ``(S, o)``."""
+    z = _check_polynet_input(z, net)
     _, xs = _polynet_states(z, net)
-    return net.mix @ xs[-1] + net.bias
+    return xs[-1] @ net.mix.T + net.bias
 
 
 def polynet_grad(z, net: PolyNet, upstream) -> PolyNet:
     """Gradients of ``polynet_forward`` w.r.t. every parameter.
 
-    Returned as a :class:`PolyNet` with the same shapes (gradient of
-    each factor, of ``mix``, and of ``bias``).
+    ``upstream`` has the shape of the output. For a batch the gradients
+    are summed over the samples. Returned as a :class:`PolyNet` with the
+    same shapes (gradient of each factor, of ``mix``, and of ``bias``).
     """
-    z = np.asarray(z, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    z = np.atleast_2d(_check_polynet_input(z, net))
+    upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     s, xs = _polynet_states(z, net)
-    g_mix = np.outer(upstream, xs[-1])
-    g_bias = upstream.copy()
-    g = net.mix.T @ upstream
+    g_mix = upstream.T @ xs[-1]
+    g_bias = upstream.sum(axis=0)
+    g = upstream @ net.mix
     g_factors = [None] * net.order
     for n in range(net.order - 1, 0, -1):
-        g_factors[n] = np.outer(z, g * xs[n - 1])
+        g_factors[n] = z.T @ (g * xs[n - 1])
         g = g * s[n] + g
-    g_factors[0] = np.outer(z, g)
+    g_factors[0] = z.T @ g
     return PolyNet(g_factors, g_mix, g_bias)
 
 
@@ -445,59 +449,55 @@ def polynet_grad(z, net: PolyNet, upstream) -> PolyNet:
 # minimal trainer
 
 
-def _batch_forward(model, inputs):
-    if isinstance(model, TrlLayer):
-        return trl_forward(inputs, model)
-    if isinstance(model, PolyNet):
-        return np.stack([polynet_forward(z, model) for z in inputs])
-    raise TypeError(f"cannot train a {type(model).__name__}")
+def _polynet_arrays(net):
+    return [*net.factors, net.mix, net.bias]
 
 
-def _apply_grads(model, grads, lr):
-    if isinstance(model, TrlLayer):
-        model.weight.core -= lr * grads.core
-        for f, g in zip(model.weight.factors, grads.factors):
-            f -= lr * g
-        model.bias -= lr * grads.bias
-    else:
-        for f, g in zip(model.factors, grads.factors):
-            f -= lr * g
-        model.mix -= lr * grads.mix
-        model.bias -= lr * grads.bias
+# trainable type -> (forward(x, model), grad(x, model, upstream),
+# parameter arrays of a model, the same arrays of its gradient). The
+# lambdas look the functions up by module name at call time, so a
+# wrapper bound to that name later (a profiler's span) sees every call.
+_TRAINABLE = {
+    TrlLayer: (
+        lambda x, m: trl_forward(x, m),
+        lambda x, m, up: trl_grad(x, m, up),
+        lambda m: [m.weight.core, *m.weight.factors, m.bias],
+        lambda g: [g.core, *g.factors, g.bias],
+    ),
+    PolyNet: (
+        lambda x, m: polynet_forward(x, m),
+        lambda x, m, up: polynet_grad(x, m, up),
+        _polynet_arrays,
+        _polynet_arrays,
+    ),
+}
 
 
-def sgd_fit(model, dataset, lr: float, epochs: int, seed: int = 0):
+def sgd_fit(model, dataset, lr: float, epochs: int):
     """Full-batch gradient descent on mean squared error.
 
     ``dataset`` is ``(inputs, targets)``. The input model is copied, not
     mutated. Returns ``(trained_model, losses)`` where ``losses`` has
     one mean-squared-error entry per epoch, recorded after that epoch's
-    update. Deterministic: the updates are full-batch, and ``seed`` is
-    reserved for future stochastic variants.
+    update. Deterministic: the updates are full-batch.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
+    if type(model) not in _TRAINABLE:
+        raise TypeError(f"cannot train a {type(model).__name__}")
+    forward, grad, params, grad_arrays = _TRAINABLE[type(model)]
     inputs, targets = dataset
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     model = copy.deepcopy(model)
     losses = []
+    pred = forward(inputs, model)
     for _ in range(epochs):
-        pred = _batch_forward(model, inputs)
         err = pred - targets
-        upstream = 2.0 * err / err.size
-        if isinstance(model, TrlLayer):
-            grads = trl_grad(inputs, model, upstream)
-        else:
-            per = [
-                polynet_grad(z, model, u) for z, u in zip(inputs, upstream)
-            ]
-            grads = PolyNet(
-                [sum(p.factors[n] for p in per) for n in range(model.order)],
-                sum(p.mix for p in per),
-                sum(p.bias for p in per),
-            )
-        _apply_grads(model, grads, lr)
-        pred = _batch_forward(model, inputs)
+        grads = grad(inputs, model, 2.0 * err / err.size)
+        for p, g in zip(params(model), grad_arrays(grads), strict=True):
+            p -= lr * g
+        # the post-update prediction also starts the next epoch
+        pred = forward(inputs, model)
         losses.append(float(np.mean((pred - targets) ** 2)))
     return model, losses

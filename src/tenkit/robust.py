@@ -86,8 +86,8 @@ def trpca(
         Non-negative per-mode weights summing to 1; defaults to
         ``1/N`` each.
     max_iters : int
-        Iteration cap; hitting it returns the last iterate with
-        ``converged=False``.
+        Iteration cap; hitting it returns the best iterate seen (lowest
+        ``max(primal, dual)`` residual) with ``converged=False``.
     tol : float
         Stop when ``max(primal, dual)`` residual drops below
         ``tol * ||X||``.

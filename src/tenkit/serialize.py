@@ -2,7 +2,8 @@
 
 Decomposition results, factorized convolution kernels (with a ``form``
 tag), and network layers (with a ``layer_type`` tag) all round-trip
-through :func:`save_model` / :func:`load_model`.
+through :func:`save_model` / :func:`load_model`. One table describes
+every model type, so saving and loading cannot drift apart.
 """
 
 from __future__ import annotations
@@ -16,169 +17,168 @@ from .nn import PolyNet, TclLayer, TrlLayer, TTLinearLayer
 
 __all__ = ["save_model", "load_model"]
 
+# manifest formats that hold several model types, and the meta key whose
+# value (the tag) tells them apart
+_TAG_KEYS = {"conv_kernel": "form", "layer": "layer_type"}
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _kruskal_conv_factors(m):
+    return [m.u_out, m.u_in, m.u_h, m.u_w]
+
+
+def _shape_ranks(m):
+    return {"mode_sizes": list(m.shape), "ranks": list(m.ranks)}
+
+
+# exact model type -> (format, tag, arrays(model), meta(model),
+# constructor(arrays, meta)). Keyed by exact type, not isinstance: a
+# KruskalConvKernel is also a SeparableConvKernel.
+_MODELS = {
+    KruskalTensor: (
+        "kruskal",
+        None,
+        lambda m: {"factors": m.factors},
+        lambda m: {
+            "mode_sizes": list(m.shape),
+            "rank": m.rank,
+            "weights": _floats(m.weights),
+        },
+        lambda a, meta: KruskalTensor(np.asarray(meta["weights"]), a["factors"]),
+    ),
+    TuckerTensor: (
+        "tucker",
+        None,
+        lambda m: {"core": m.core, "factors": m.factors},
+        _shape_ranks,
+        lambda a, meta: TuckerTensor(a["core"], a["factors"]),
+    ),
+    TTTensor: (
+        "tt",
+        None,
+        lambda m: {"cores": m.cores},
+        _shape_ranks,
+        lambda a, meta: TTTensor(a["cores"]),
+    ),
+    MpcaResult: (
+        "mpca",
+        None,
+        lambda m: {"projections": m.projections, "cores": m.cores},
+        lambda m: {
+            "mode_sizes": [int(p.shape[0]) for p in m.projections],
+            "ranks": [int(p.shape[1]) for p in m.projections],
+        },
+        lambda a, meta: MpcaResult(
+            projections=a["projections"], cores=a["cores"]
+        ),
+    ),
+    KruskalConvKernel: (
+        "conv_kernel",
+        "kruskal",
+        lambda m: {"factors": _kruskal_conv_factors(m)},
+        lambda m: {
+            "mode_sizes": [int(f.shape[0]) for f in _kruskal_conv_factors(m)],
+            "rank": m.rank,
+        },
+        lambda a, meta: KruskalConvKernel(*a["factors"]),
+    ),
+    TuckerConvKernel: (
+        "conv_kernel",
+        "tucker",
+        lambda m: {"core": m.tucker.core, "factors": m.tucker.factors},
+        lambda m: _shape_ranks(m.tucker),
+        lambda a, meta: TuckerConvKernel(TuckerTensor(a["core"], a["factors"])),
+    ),
+    SeparableConvKernel: (
+        "conv_kernel",
+        "separable",
+        lambda m: {
+            "channel_factors": [m.u_out, m.u_in],
+            "spatial_factors": m.spatial,
+        },
+        lambda m: {"rank": m.rank, "weights": _floats(m.weights)},
+        lambda a, meta: SeparableConvKernel(
+            np.asarray(meta["weights"]),
+            *a["channel_factors"],
+            a["spatial_factors"],
+        ),
+    ),
+    TclLayer: (
+        "layer",
+        "tcl",
+        lambda m: {"factors": m.factors},
+        lambda m: {},
+        lambda a, meta: TclLayer(a["factors"]),
+    ),
+    TrlLayer: (
+        "layer",
+        "trl",
+        lambda m: {
+            "core": m.weight.core,
+            "factors": m.weight.factors,
+            "bias": m.bias,
+        },
+        lambda m: {"ranks": list(m.weight.ranks)},
+        lambda a, meta: TrlLayer(
+            TuckerTensor(a["core"], a["factors"]), a["bias"]
+        ),
+    ),
+    TTLinearLayer: (
+        "layer",
+        "tt_linear",
+        lambda m: {"cores": m.cores.cores},
+        lambda m: {
+            "in_shape": list(m.in_shape),
+            "out_shape": list(m.out_shape),
+            "ranks": list(m.cores.ranks),
+        },
+        lambda a, meta: TTLinearLayer(
+            tuple(meta["in_shape"]),
+            tuple(meta["out_shape"]),
+            TTTensor(a["cores"]),
+        ),
+    ),
+    PolyNet: (
+        "layer",
+        "polynet",
+        lambda m: {"factors": m.factors, "mix": m.mix, "bias": m.bias},
+        lambda m: {"order": m.order},
+        lambda a, meta: PolyNet(a["factors"], a["mix"], a["bias"]),
+    ),
+}
+
+# (format, tag) -> constructor
+_LOADERS = {(fmt, tag): build for fmt, tag, _, _, build in _MODELS.values()}
+
 
 def save_model(directory, model) -> None:
     """Write any supported factorized model into a manifest directory."""
-    if isinstance(model, KruskalTensor):
-        save_manifest(
-            directory,
-            "kruskal",
-            {"factors": model.factors},
-            {
-                "mode_sizes": list(model.shape),
-                "rank": model.rank,
-                "weights": [float(w) for w in model.weights],
-            },
-        )
-    elif isinstance(model, TuckerTensor):
-        save_manifest(
-            directory,
-            "tucker",
-            {"core": model.core, "factors": model.factors},
-            {"mode_sizes": list(model.shape), "ranks": list(model.ranks)},
-        )
-    elif isinstance(model, TTTensor):
-        save_manifest(
-            directory,
-            "tt",
-            {"cores": model.cores},
-            {"mode_sizes": list(model.shape), "ranks": list(model.ranks)},
-        )
-    elif isinstance(model, MpcaResult):
-        save_manifest(
-            directory,
-            "mpca",
-            {"projections": model.projections, "cores": model.cores},
-            {
-                "mode_sizes": [int(p.shape[0]) for p in model.projections],
-                "ranks": [int(p.shape[1]) for p in model.projections],
-            },
-        )
-    elif isinstance(model, KruskalConvKernel):
-        save_manifest(
-            directory,
-            "conv_kernel",
-            {
-                "factors": [model.u_out, model.u_in, model.u_h, model.u_w],
-            },
-            {
-                "form": "kruskal",
-                "mode_sizes": [int(m.shape[0]) for m in
-                               (model.u_out, model.u_in, model.u_h, model.u_w)],
-                "rank": model.rank,
-            },
-        )
-    elif isinstance(model, TuckerConvKernel):
-        save_manifest(
-            directory,
-            "conv_kernel",
-            {"core": model.tucker.core, "factors": model.tucker.factors},
-            {
-                "form": "tucker",
-                "mode_sizes": list(model.tucker.shape),
-                "ranks": list(model.tucker.ranks),
-            },
-        )
-    elif isinstance(model, SeparableConvKernel):
-        save_manifest(
-            directory,
-            "conv_kernel",
-            {
-                "channel_factors": [model.u_out, model.u_in],
-                "spatial_factors": model.spatial,
-            },
-            {
-                "form": "separable",
-                "rank": model.rank,
-                "weights": [float(w) for w in model.weights],
-            },
-        )
-    elif isinstance(model, TclLayer):
-        save_manifest(
-            directory,
-            "layer",
-            {"factors": model.factors},
-            {"layer_type": "tcl"},
-        )
-    elif isinstance(model, TrlLayer):
-        save_manifest(
-            directory,
-            "layer",
-            {
-                "core": model.weight.core,
-                "factors": model.weight.factors,
-                "bias": model.bias,
-            },
-            {"layer_type": "trl", "ranks": list(model.weight.ranks)},
-        )
-    elif isinstance(model, TTLinearLayer):
-        save_manifest(
-            directory,
-            "layer",
-            {"cores": model.cores.cores},
-            {
-                "layer_type": "tt_linear",
-                "in_shape": list(model.in_shape),
-                "out_shape": list(model.out_shape),
-                "ranks": list(model.cores.ranks),
-            },
-        )
-    elif isinstance(model, PolyNet):
-        save_manifest(
-            directory,
-            "layer",
-            {"factors": model.factors, "mix": model.mix, "bias": model.bias},
-            {"layer_type": "polynet", "order": model.order},
-        )
-    else:
+    entry = _MODELS.get(type(model))
+    if entry is None:
         raise TypeError(f"cannot serialize a {type(model).__name__}")
+    fmt, tag, arrays, meta, _ = entry
+    meta = meta(model)
+    if tag is not None:
+        meta[_TAG_KEYS[fmt]] = tag
+    save_manifest(directory, fmt, arrays(model), meta)
 
 
 def load_model(directory):
     """Inverse of :func:`save_model`."""
     fmt, arrays, meta = load_manifest(directory)
-    if fmt == "kruskal":
-        return KruskalTensor(np.asarray(meta["weights"]), arrays["factors"])
-    if fmt == "tucker":
-        return TuckerTensor(arrays["core"], arrays["factors"])
-    if fmt == "tt":
-        return TTTensor(arrays["cores"])
-    if fmt == "mpca":
-        return MpcaResult(
-            projections=arrays["projections"], cores=arrays["cores"]
-        )
-    if fmt == "conv_kernel":
-        form = meta.get("form")
-        if form == "kruskal":
-            u_out, u_in, u_h, u_w = arrays["factors"]
-            return KruskalConvKernel(u_out, u_in, u_h, u_w)
-        if form == "tucker":
-            return TuckerConvKernel(
-                TuckerTensor(arrays["core"], arrays["factors"])
-            )
-        if form == "separable":
-            u_out, u_in = arrays["channel_factors"]
-            return SeparableConvKernel(
-                np.asarray(meta["weights"]), u_out, u_in,
-                arrays["spatial_factors"],
-            )
-        raise FormatError(f"{directory}: unknown conv kernel form {form!r}")
-    if fmt == "layer":
-        layer_type = meta.get("layer_type")
-        if layer_type == "tcl":
-            return TclLayer(arrays["factors"])
-        if layer_type == "trl":
-            return TrlLayer(
-                TuckerTensor(arrays["core"], arrays["factors"]),
-                arrays["bias"],
-            )
-        if layer_type == "tt_linear":
-            return TTLinearLayer(
-                tuple(meta["in_shape"]),
-                tuple(meta["out_shape"]),
-                TTTensor(arrays["cores"]),
-            )
-        if layer_type == "polynet":
-            return PolyNet(arrays["factors"], arrays["mix"], arrays["bias"])
-        raise FormatError(f"{directory}: unknown layer type {layer_type!r}")
-    raise FormatError(f"{directory}: unknown manifest format {fmt!r}")
+    tag_key = _TAG_KEYS.get(fmt) if isinstance(fmt, str) else None
+    tag = meta.get(tag_key)
+    try:
+        build = _LOADERS[fmt, tag]
+    except (KeyError, TypeError):  # unknown, or an unhashable JSON value
+        what = f"{tag_key} {tag!r}" if tag_key else f"manifest format {fmt!r}"
+        raise FormatError(f"{directory}: unknown {what}") from None
+    try:
+        return build(arrays, meta)
+    except KeyError as exc:
+        raise FormatError(f"{directory}: manifest lacks key {exc}") from None
+    except TypeError as exc:  # e.g. the wrong number of factor files
+        raise FormatError(f"{directory}: {exc}") from None

@@ -239,7 +239,6 @@ def test_conv_compress_tucker_full_ranks_no_compression(tmp_path, capsys, rng):
     assert report["note"] == "no compression"
 
 
-@pytest.mark.filterwarnings("ignore:rank 16 exceeds")
 def test_conv_compress_param_count_64(tmp_path, capsys, rng):
     path = tmp_path / "k.tnsr"
     write_tnsr(path, rng.standard_normal((64, 64, 3, 3)))

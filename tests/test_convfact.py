@@ -276,7 +276,6 @@ def test_decompose_kernel_tucker_full_ranks(rng):
     assert info["relative_error"] < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore:rank 16 exceeds")
 def test_decompose_kernel_param_counts():
     w = np.zeros((64, 64, 3, 3))
     w[0, 0, 0, 0] = 1.0

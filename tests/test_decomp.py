@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tenkit import (
     cp_als,
     mpca,
     multifactor_analysis,
+    multi_mode_product,
     outer,
     tt_svd,
     tucker_hooi,
@@ -138,6 +141,16 @@ def test_cp_overparametrized_warns(rng):
     assert info["over_parametrized"]
 
 
+def test_cp_rank_above_mode_size_does_not_warn(rng):
+    # a CP rank may exceed a mode size: rank 16 on a 64x64x3x3 kernel
+    # stays below every unfolding's column count (size // I_n)
+    x = rng.standard_normal((64, 64, 3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, info = cp_als(x, 16, DecompOptions(max_iters=2), return_info=True)
+    assert not info["over_parametrized"]
+
+
 # ---------------------------------------------------------------------------
 # Tucker
 
@@ -218,6 +231,26 @@ def test_hooi_fit_monotone(rng):
     assert np.all(np.diff(info["fits"]) >= -1e-12)
 
 
+def test_hooi_core_is_projection_on_returned_factors(rng):
+    x = rng.standard_normal((5, 6, 4))
+    for max_iters in (1, 3, 500):
+        t = tucker_hooi(x, (2, 3, 2), DecompOptions(max_iters=max_iters))
+        assert np.array_equal(
+            t.core, multi_mode_product(x, t.factors, transpose=True)
+        )
+
+
+def test_mpca_core_is_projection_on_returned_factors(rng):
+    x = rng.standard_normal((5, 6, 7))
+    for max_iters in (1, 3, 500):
+        m = mpca(x, (2, 3), DecompOptions(max_iters=max_iters))
+        assert len(m.scatters) <= max_iters
+        assert np.array_equal(
+            m.cores,
+            multi_mode_product(x, m.projections, transpose=True),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Tensor-Train
 
@@ -279,6 +312,13 @@ def test_tt_rejects_both_policies(rng):
         tt_svd(rng.standard_normal((2, 2)), ranks=0)
     with pytest.raises(ValueError):
         tt_svd(rng.standard_normal((2, 2)), tol=-0.1)
+
+
+def test_tt_rejects_nan_with_value_error(rng):
+    x = rng.standard_normal((3, 4, 2))
+    x[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        tt_svd(x)
 
 
 # ---------------------------------------------------------------------------

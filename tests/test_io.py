@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -128,3 +129,52 @@ def test_missing_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(FormatError, match="manifest.json"):
         load_model(tmp_path / "empty")
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def test_missing_meta_key_is_format_error(tmp_path, rng):
+    k = KruskalTensor(np.ones(2), [rng.standard_normal((3, 2))] * 2)
+    save_model(tmp_path / "model", k)
+    _edit_manifest(tmp_path / "model", lambda m: m.pop("weights"))
+    with pytest.raises(FormatError, match="'weights'"):
+        load_model(tmp_path / "model")
+
+
+def test_missing_array_key_is_format_error(tmp_path, rng):
+    save_model(tmp_path / "model", tucker_hosvd(rng.standard_normal((3, 4, 2)), (2, 2, 2)))
+    _edit_manifest(tmp_path / "model", lambda m: m["files"].pop("core"))
+    with pytest.raises(FormatError, match="'core'"):
+        load_model(tmp_path / "model")
+
+
+@pytest.mark.parametrize("entry", ["../x.tnsr", "/tmp/x.tnsr", "sub/x.tnsr", "..", ""])
+def test_file_entry_outside_directory_is_format_error(tmp_path, rng, entry):
+    save_model(tmp_path / "model", tt_svd(rng.standard_normal((3, 4, 2))))
+    # the escaping target exists, so only the name check can refuse it
+    write_tnsr(tmp_path / "x.tnsr", np.ones(3))
+
+    def edit(m):
+        m["files"]["cores"][1] = entry
+
+    _edit_manifest(tmp_path / "model", edit)
+    with pytest.raises(FormatError, match="plain file name"):
+        load_manifest(tmp_path / "model")
+
+
+@pytest.mark.parametrize("manifest", [[1, 2], {"format": "tt", "files": ["cores_00.tnsr"]}])
+def test_manifest_of_wrong_json_type_is_format_error(tmp_path, rng, manifest):
+    save_model(tmp_path / "model", tt_svd(rng.standard_normal((3, 4, 2))))
+    (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="not a JSON object"):
+        load_model(tmp_path / "model")
+
+
+def test_save_model_rejects_unsupported_type(tmp_path):
+    with pytest.raises(TypeError, match="ndarray"):
+        save_model(tmp_path / "model", np.ones(3))

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from tenkit import SVDResult, lstsq, soft_threshold, svd, svt, truncated_svd
+from tenkit.linalg import column_signs, left_singular_basis
 
 
 def reconstruct(r: SVDResult) -> np.ndarray:
@@ -179,3 +180,22 @@ def test_lstsq_minimum_norm(rng):
     x = lstsq(a, b)
     expected, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.allclose(x, expected, atol=1e-10)
+
+
+def test_column_signs_make_largest_entry_non_negative():
+    u = np.array([[1.0, -3.0, 2.0], [-2.0, 1.0, -2.0]])
+    # the first of two tied largest entries decides, so column 2 keeps +
+    assert np.array_equal(column_signs(u), [-1.0, -1.0, 1.0])
+    fixed = u * column_signs(u)
+    idx = np.argmax(np.abs(fixed), axis=0)
+    assert np.all(fixed[idx, np.arange(3)] >= 0)
+
+
+def test_svd_and_padded_basis_follow_column_signs(rng):
+    a = rng.standard_normal((6, 4))
+    r = svd(a)
+    assert np.array_equal(column_signs(r.U), np.ones(4))
+    # rank above min(a.shape): the orthonormal completion is sign-fixed too
+    u = left_singular_basis(a[:, :2], 5)
+    assert np.array_equal(column_signs(u), np.ones(5))
+    assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)

@@ -337,6 +337,30 @@ def test_polynet_grad_matches_finite_differences(rng):
         assert np.linalg.norm(grad - fd) < 1e-4 * max(np.linalg.norm(fd), 1e-8)
 
 
+def test_polynet_batch_matches_per_sample(rng):
+    net = random_polynet(rng, d=4, k=3, o=2, order=3)
+    z = rng.standard_normal((7, 4))
+    up = rng.standard_normal((7, 2))
+    out = polynet_forward(z, net)
+    assert out.shape == (7, 2)
+    assert np.max(np.abs(out - np.stack([polynet_forward(v, net) for v in z]))) <= 1e-12
+    g = polynet_grad(z, net, up)
+    per = [polynet_grad(v, net, u) for v, u in zip(z, up)]
+    for n in range(net.order):
+        summed = sum(p.factors[n] for p in per)
+        assert np.max(np.abs(g.factors[n] - summed)) <= 1e-12
+    assert np.max(np.abs(g.mix - sum(p.mix for p in per))) <= 1e-12
+    assert np.max(np.abs(g.bias - sum(p.bias for p in per))) <= 1e-12
+
+
+def test_polynet_rejects_wrong_width(rng):
+    net = random_polynet(rng, d=4)
+    with pytest.raises(ValueError):
+        polynet_forward(np.zeros(5), net)
+    with pytest.raises(ValueError):
+        polynet_forward(np.zeros((2, 3, 4)), net)
+
+
 # ---------------------------------------------------------------------------
 # trainer
 
@@ -374,6 +398,12 @@ def test_sgd_rejects_negative_lr(rng):
     layer = random_trl(rng)
     with pytest.raises(ValueError):
         sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), -0.1, 1)
+
+
+def test_sgd_rejects_untrainable_type(rng):
+    tcl = TclLayer([rng.standard_normal((2, 3))])
+    with pytest.raises(TypeError, match="TclLayer"):
+        sgd_fit(tcl, (np.zeros((1, 3)), np.zeros((1, 2))), 0.1, 1)
 
 
 # ---------------------------------------------------------------------------

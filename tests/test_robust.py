@@ -157,3 +157,16 @@ def test_trpca_matches_matrix_specialization(rng):
     assert np.linalg.norm(res.sparse - ref_s) < 1e-6 * max(
         np.linalg.norm(ref_s), 1.0
     )
+
+
+def test_trpca_iteration_cap_returns_best_iterate(rng):
+    # a dense Gaussian tensor is far from low-rank plus sparse, so ten
+    # iterations do not converge; the best residual seen never grows
+    x = rng.standard_normal((6, 7, 5))
+    worst = []
+    for max_iters in range(1, 11):
+        res = trpca(x, max_iters=max_iters, track_objective=False)
+        assert not res.converged
+        assert res.iterations == max_iters
+        worst.append(max(res.primal_residual, res.dual_residual))
+    assert all(b <= a for a, b in zip(worst, worst[1:]))
