@@ -63,6 +63,13 @@ def _parse_ranks(text: str) -> list:
         ) from None
 
 
+def _tucker_ranks(args, ndim: int, what: str) -> list:
+    ranks = args.ranks if args.ranks else [args.rank] * ndim
+    if None in ranks:
+        raise ValueError(f"{what} needs --ranks or --rank")
+    return ranks
+
+
 def cmd_info(args) -> dict:
     tensor = read_tnsr(args.path)
     norm = frobenius(tensor)
@@ -95,9 +102,7 @@ def cmd_decompose(args) -> dict:
         report["rank"] = args.rank
         report["iterations"] = info["iterations"]
     elif args.method == "tucker":
-        ranks = args.ranks if args.ranks else [args.rank] * tensor.ndim
-        if None in (ranks or [None]):
-            raise ValueError("tucker needs --ranks or --rank")
+        ranks = _tucker_ranks(args, tensor.ndim, "tucker")
         model, info = tucker_hooi(tensor, ranks, opts, return_info=True)
         report["ranks"] = ranks
         report["iterations"] = info["iterations"]
@@ -135,10 +140,7 @@ def cmd_decompose(args) -> dict:
 
 def cmd_rpca(args) -> dict:
     tensor = read_tnsr(args.path)
-    if args.lam == "auto":
-        lam = robust.default_lambda(tensor.shape)
-    else:
-        lam = float(args.lam)
+    lam = None if args.lam == "auto" else float(args.lam)
     alpha = np.asarray(args.alpha, dtype=float) if args.alpha else None
     result = robust.trpca(
         tensor, lam=lam, alpha=alpha, max_iters=args.max_iters
@@ -156,7 +158,7 @@ def cmd_rpca(args) -> dict:
         "command": "rpca",
         "input": args.path,
         "out": args.out,
-        "lambda": lam,
+        "lambda": result.lam,
         "iterations": result.iterations,
         "converged": result.converged,
         "feasibility_residual": feas,
@@ -178,9 +180,7 @@ def cmd_conv_compress(args) -> dict:
             raise ValueError("cp form needs --rank")
         fact, info = convfact.decompose_kernel(kernel, "cp", args.rank, opts)
     else:
-        ranks = args.ranks if args.ranks else [args.rank] * 4
-        if None in (ranks or [None]):
-            raise ValueError("tucker form needs --ranks or --rank")
+        ranks = _tucker_ranks(args, 4, "tucker form")
         fact, info = convfact.decompose_kernel(kernel, "tucker", ranks, opts)
 
     rng = np.random.default_rng(args.seed)

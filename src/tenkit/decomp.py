@@ -412,7 +412,7 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
       ``eps * ||X|| / sqrt(N - 1)``).
     * neither: maximal ranks, i.e. an exact representation.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.check_finite(x, "tt_svd")
     n = x.ndim
     if ranks is not None and tol is not None:
         raise ValueError("pass either ranks or tol, not both")

@@ -18,11 +18,13 @@ import numpy as np
 
 __all__ = [
     "SVDResult",
+    "check_finite",
     "column_signs",
     "svd",
     "truncated_svd",
     "soft_threshold",
     "svt",
+    "svt_with_spectrum",
     "lstsq",
 ]
 
@@ -45,6 +47,18 @@ class SVDResult:
     @property
     def rank(self) -> int:
         return self.S.shape[0]
+
+
+def check_finite(a, name: str) -> np.ndarray:
+    """``a`` as float64; ``ValueError`` naming ``name`` and the count of
+    NaN or infinite entries if there are any."""
+    a = np.asarray(a, dtype=np.float64)
+    bad = a.size - np.count_nonzero(np.isfinite(a))
+    if bad:
+        raise ValueError(
+            f"{name} requires finite entries ({bad} of {a.size} are not)"
+        )
+    return a
 
 
 def column_signs(u) -> np.ndarray:
@@ -70,8 +84,7 @@ def svd(a) -> SVDResult:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("svd expects a matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("svd requires finite entries")
+    check_finite(a, "svd")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     signs = column_signs(u)
     return SVDResult(U=u * signs, S=s, V=vh.T * signs)
@@ -106,6 +119,7 @@ def left_singular_basis(a, rank: int) -> np.ndarray:
         )
     if rank <= min(a.shape):
         return svd(a).U[:, :rank]
+    check_finite(a, "left_singular_basis")
     u = np.linalg.svd(a, full_matrices=True)[0]
     return (u * column_signs(u))[:, :rank]
 
@@ -124,11 +138,17 @@ def svt(a, tau: float) -> np.ndarray:
     This is the proximal operator of ``tau * ||.||_*``, i.e. the unique
     minimizer of ``0.5 * ||X - A||_F^2 + tau * ||X||_*``.
     """
+    return svt_with_spectrum(a, tau)[0]
+
+
+def svt_with_spectrum(a, tau: float) -> tuple:
+    """:func:`svt` and its result's spectrum ``max(s - tau, 0)``, whose
+    sum is the result's nuclear norm."""
     if tau < 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
     r = svd(a)
     s = np.maximum(r.S - tau, 0.0)
-    return (r.U * s) @ r.V.T
+    return (r.U * s) @ r.V.T, s
 
 
 def lstsq(a, b) -> np.ndarray:

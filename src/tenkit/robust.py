@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import fold, frobenius, unfold
-from .linalg import soft_threshold, svt
+from .linalg import check_finite, soft_threshold, svt_with_spectrum
 
 __all__ = ["RpcaResult", "trpca", "default_lambda"]
 
@@ -28,7 +28,8 @@ class RpcaResult:
     ``low_rank + sparse`` reproduces the input up to the feasibility
     residual. ``converged`` is False when the iteration cap was hit, in
     which case the best iterate seen (lowest combined residual) is
-    returned instead of the last one.
+    returned instead of the last one. ``objective_trace`` has one
+    split-variable objective per iteration (see :func:`trpca`).
     """
 
     low_rank: np.ndarray
@@ -58,45 +59,41 @@ def default_lambda(shape) -> float:
     return float(1.0 / np.sqrt(max(shape)))
 
 
-def _objective(l, s, lam, alpha):
-    nuc = sum(
-        a * np.linalg.svd(unfold(l, n), compute_uv=False).sum()
-        for n, a in enumerate(alpha)
-    )
-    return nuc + lam * np.abs(s).sum()
-
-
 def trpca(
     x,
     lam: float | None = None,
     alpha=None,
     max_iters: int = 1000,
     tol: float = 1e-7,
-    track_objective: bool = True,
 ) -> RpcaResult:
     """Robust tensor PCA via ADMM.
 
     Parameters
     ----------
     x : array
-        Input tensor.
+        Input tensor; every entry must be finite.
     lam : float, optional
         Sparsity weight; defaults to :func:`default_lambda`.
     alpha : sequence, optional
         Non-negative per-mode weights summing to 1; defaults to
         ``1/N`` each.
     max_iters : int
-        Iteration cap; hitting it returns the best iterate seen (lowest
-        ``max(primal, dual)`` residual) with ``converged=False``.
+        Iteration cap (at least 1); hitting it returns the best iterate
+        seen (lowest ``max(primal, dual)`` residual) with
+        ``converged=False``.
     tol : float
         Stop when ``max(primal, dual)`` residual drops below
         ``tol * ||X||``.
-    track_objective : bool
-        Record the objective at every iterate (costs one extra SVD per
-        mode per iteration).
+
+    The objective trace holds the split-variable objective
+    ``sum_n alpha_n * ||M_n||_* + lambda * ||S||_1`` of every iteration,
+    summed from the spectra that SVT shrinks (no extra SVD); at
+    feasibility (every ``M_n = L``) it is the model objective.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_finite(x, "trpca")
     n_modes = x.ndim
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     if lam is None:
         lam = default_lambda(x.shape)
     if lam <= 0:
@@ -121,70 +118,48 @@ def trpca(
     rho = 1e-2
     rho_cap = 1e6
     low = np.zeros_like(x)
-    sparse = np.zeros_like(x)
-    aux = [np.zeros_like(x) for _ in range(n_modes)]          # M_n = L
-    dual_aux = [np.zeros_like(x) for _ in range(n_modes)]     # scaled duals
-    dual_fit = np.zeros_like(x)                               # for X = L + S
+    # scaled duals: one per M_n = L, the last for X = L + S
+    duals = np.zeros((n_modes + 1, *x.shape))
     trace = []
-    primal = dual = np.inf
-    iterations = 0
-    converged = False
-    best = None  # (residual, low, sparse, primal, dual) of the best iterate
+    # (residual, low, sparse, primal, dual) of the best iterate; low and
+    # sparse are rebound every iteration, never written in place
+    best = None
 
-    for it in range(1, max_iters + 1):
-        iterations = it
-        for n in range(n_modes):
-            target = unfold(low - dual_aux[n], n)
-            aux[n] = fold(svt(target, alpha[n] / rho), n, x.shape)
-        sparse = soft_threshold(x - low + dual_fit, lam / rho)
+    for iterations in range(1, max_iters + 1):
+        shrunk = [  # M_n and its spectrum, tied to L
+            svt_with_spectrum(unfold(low - duals[n], n), alpha[n] / rho)
+            for n in range(n_modes)
+        ]
+        aux = [fold(m, n, x.shape) for n, (m, _) in enumerate(shrunk)]
+        nuclear = sum(a * s.sum() for a, (_, s) in zip(alpha, shrunk))
+        sparse = soft_threshold(x - low + duals[-1], lam / rho)
 
         low_prev = low
-        low = (sum(m + d for m, d in zip(aux, dual_aux)) + x - sparse + dual_fit) / (
-            n_modes + 1
-        )
+        low = (
+            sum(m + d for m, d in zip(aux, duals)) + x - sparse + duals[-1]
+        ) / (n_modes + 1)
 
-        fit_gap = x - low - sparse
-        gaps = [m - low for m in aux]
-        for n in range(n_modes):
-            dual_aux[n] += gaps[n]
-        dual_fit += fit_gap
-
-        primal = np.sqrt(
-            sum(float(np.sum(g**2)) for g in gaps) + float(np.sum(fit_gap**2))
-        )
+        gaps = [m - low for m in aux] + [x - low - sparse]
+        duals += gaps
+        primal = np.sqrt(sum(float(np.sum(g**2)) for g in gaps))
         dual = rho * np.sqrt(n_modes + 1) * frobenius(low - low_prev)
-
-        if track_objective:
-            trace.append(_objective(low, sparse, lam, alpha))
+        trace.append(nuclear + lam * np.abs(sparse).sum())
 
         if best is None or max(primal, dual) < best[0]:
-            best = (max(primal, dual), low.copy(), sparse.copy(), primal, dual)
-
+            best = (max(primal, dual), low, sparse, primal, dual)
         if max(primal, dual) < tol * norm_x:
-            converged = True
             break
 
         if primal > 10 * dual and rho * 1.5 <= rho_cap:
             rho *= 1.5
-            for n in range(n_modes):
-                dual_aux[n] /= 1.5
-            dual_fit /= 1.5
+            duals /= 1.5
         elif dual > 10 * primal:
             rho /= 1.5
-            for n in range(n_modes):
-                dual_aux[n] *= 1.5
-            dual_fit *= 1.5
+            duals *= 1.5
 
-    if not converged and best is not None:
+    converged = bool(max(primal, dual) < tol * norm_x)
+    if not converged:
         _, low, sparse, primal, dual = best
     return RpcaResult(
-        low_rank=low,
-        sparse=sparse,
-        iterations=iterations,
-        primal_residual=primal,
-        dual_residual=dual,
-        converged=converged,
-        lam=lam,
-        alpha=alpha,
-        objective_trace=trace,
+        low, sparse, iterations, primal, dual, converged, lam, alpha, trace
     )

@@ -141,6 +141,21 @@ def test_decompose_infeasible_rank_fails(tmp_path, capsys, rng):
     assert "out of range" in err
 
 
+def test_tucker_without_ranks_fails(tmp_path, capsys, rng):
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((3, 3, 3, 3)))
+    for argv, text in (
+        (("decompose", "--method", "tucker"), "tucker needs"),
+        (("conv-compress", "--form", "tucker"), "tucker form needs"),
+    ):
+        code, _, err = run_cli(
+            capsys, argv[0], str(path), *argv[1:],
+            "--out", str(tmp_path / "model"),
+        )
+        assert code == 1
+        assert err == f"error: {text} --ranks or --rank\n"
+
+
 def test_decompose_unknown_method_usage_error(tmp_path, rng):
     path = tmp_path / "x.tnsr"
     write_tnsr(path, rng.standard_normal((2, 2)))
@@ -200,6 +215,34 @@ def test_rpca_recovers_corrupted(tmp_path, capsys, rng):
     assert code == 0
     l = read_tnsr(tmp_path / "parts" / "L.tnsr")
     assert np.linalg.norm(l - low) < 1e-3 * np.linalg.norm(low)
+
+
+def test_rpca_json_report(tmp_path, capsys, rng):
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rank2_tensor(rng))
+    for max_iters, converged in (("1000", True), ("2", False)):
+        code, out, _ = run_cli(
+            capsys, "rpca", str(path), "--max-iters", max_iters, "--json",
+            "--out", str(tmp_path / "parts"),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["converged"] is converged
+        assert report["lambda"] == 1 / np.sqrt(6)
+
+
+def test_rpca_non_finite_input_exit_code(tmp_path, capsys, rng):
+    x = rng.standard_normal((4, 5, 3))
+    x[2, 1, 0] = np.nan
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, x)
+    code, out, err = run_cli(
+        capsys, "rpca", str(path), "--out", str(tmp_path / "parts")
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: trpca requires finite entries (1 of 60 are not)\n"
+    assert not (tmp_path / "parts").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,12 @@ def test_tt_rejects_nan_with_value_error(rng):
         tt_svd(x)
 
 
+def test_tt_rejects_nan_on_order_one():
+    # an order-1 tensor needs no SVD, so the check must not rely on one
+    with pytest.raises(ValueError, match="finite"):
+        tt_svd([1.0, 1.0, np.nan, 1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # MPCA
 
@@ -365,6 +371,15 @@ def test_mpca_projections_orthonormal(rng):
 def test_mpca_rank_out_of_range(rng):
     with pytest.raises(ValueError):
         mpca(rng.standard_normal((3, 3, 5)), (4, 2))
+
+
+def test_mpca_rejects_nan_on_padded_basis():
+    # 5 features x 1 sample at rank 2: the basis needs an orthonormal
+    # completion past the single singular vector
+    x = np.ones((5, 1))
+    x[2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        mpca(x, (2,))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@ import pytest
 import scipy.optimize
 
 from tenkit import SVDResult, lstsq, soft_threshold, svd, svt, truncated_svd
-from tenkit.linalg import column_signs, left_singular_basis
+from tenkit.linalg import (
+    check_finite,
+    column_signs,
+    left_singular_basis,
+    svt_with_spectrum,
+)
 
 
 def reconstruct(r: SVDResult) -> np.ndarray:
@@ -59,6 +64,17 @@ def test_svd_deterministic(rng):
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_check_finite_counts_bad_entries():
+    a = np.array([[1.0, np.nan], [np.inf, -np.inf]])
+    with pytest.raises(
+        ValueError, match=r"solver requires finite entries \(3 of 4 are not\)"
+    ):
+        check_finite(a, "solver")
+    ok = check_finite([[1, 2]], "solver")
+    assert ok.dtype == np.float64
+    assert np.array_equal(ok, [[1.0, 2.0]])
 
 
 def test_truncated_svd_full_rank_exact(rng):
@@ -125,6 +141,18 @@ def test_svt_kills_everything_past_sigma1(rng):
 def test_svt_diag():
     got = svt(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_svt_with_spectrum_matches_svt(rng):
+    a = rng.standard_normal((5, 3))
+    tau = 0.5
+    m, spectrum = svt_with_spectrum(a, tau)
+    assert np.array_equal(m, svt(a, tau))
+    assert np.array_equal(spectrum, np.maximum(svd(a).S - tau, 0.0))
+    # the shrunk spectrum is the spectrum of the result
+    assert np.allclose(svd(m).S, spectrum, atol=1e-12)
+    with pytest.raises(ValueError):
+        svt_with_spectrum(a, -1.0)
 
 
 def test_svt_is_nuclear_prox(rng):

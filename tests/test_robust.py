@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from tenkit import default_lambda, trpca
+from tenkit import default_lambda, trpca, unfold
 from tenkit.linalg import soft_threshold, svt
 
 
@@ -77,6 +77,44 @@ def test_trpca_parameter_validation(rng):
         trpca(x, alpha=[-0.5, 1.5])
     with pytest.raises(ValueError):
         trpca(x, alpha=[1.0])
+
+
+def test_trpca_rejects_non_finite_input(rng):
+    x = rng.standard_normal((4, 5, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="trpca requires finite entries"):
+            trpca(y)
+
+
+def test_trpca_rejects_non_positive_max_iters(rng):
+    x = rng.standard_normal((4, 5, 3))
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be positive"):
+            trpca(x, max_iters=max_iters)
+
+
+def test_trpca_objective_trace_has_one_entry_per_iteration(rng):
+    low, spikes, _ = spiked_low_rank(rng)
+    done = trpca(low + spikes)
+    capped = trpca(low + spikes, max_iters=5)
+    assert done.converged and not capped.converged
+    assert len(done.objective_trace) == done.iterations
+    assert len(capped.objective_trace) == capped.iterations == 5
+
+
+def test_trpca_objective_trace_ends_at_model_objective(rng):
+    # at convergence every M_n is L up to the tolerance, so the
+    # split-variable trace must agree with the model objective at (L, S)
+    low, spikes, _ = spiked_low_rank(rng)
+    res = trpca(low + spikes)
+    assert res.converged
+    model = sum(
+        a * np.linalg.svd(unfold(res.low_rank, n), compute_uv=False).sum()
+        for n, a in enumerate(res.alpha)
+    ) + res.lam * np.abs(res.sparse).sum()
+    assert res.objective_trace[-1] == pytest.approx(model, rel=1e-6)
 
 
 @pytest.mark.xfail(
@@ -165,7 +203,7 @@ def test_trpca_iteration_cap_returns_best_iterate(rng):
     x = rng.standard_normal((6, 7, 5))
     worst = []
     for max_iters in range(1, 11):
-        res = trpca(x, max_iters=max_iters, track_objective=False)
+        res = trpca(x, max_iters=max_iters)
         assert not res.converged
         assert res.iterations == max_iters
         worst.append(max(res.primal_residual, res.dual_residual))
