@@ -99,12 +99,10 @@ class SeparableConvKernel:
         return self.weights.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        n = len(self.spatial)
-        subs = [f"{_LETTERS[i]}r" for i in range(n)]
-        spec = "r,tr,cr," + ",".join(subs) + "->tc" + _LETTERS[:n]
-        return np.einsum(
-            spec, self.weights, self.u_out, self.u_in, *self.spatial
-        )
+        letters = _LETTERS[: len(self.spatial)]
+        spec = "r,tr,cr," + ",".join(c + "r" for c in letters) + "->tc" + letters
+        mats = [self.weights, self.u_out, self.u_in, *self.spatial]
+        return np.einsum(spec, *mats, optimize=True)
 
     def param_count(self) -> int:
         mats = [self.weights, self.u_out, self.u_in, *self.spatial]
@@ -144,6 +142,10 @@ def conv_nd_direct(x, kernel) -> np.ndarray:
     ``x`` is ``C x D_1 x ... x D_N``, ``kernel`` is
     ``T x C x K_1 x ... x K_N``; the output is ``T`` by
     ``D_i - K_i + 1`` along each spatial mode.
+
+    One BLAS channel contraction per kernel offset, added into the
+    output ("kn2row"): the extra memory is about one output, not the
+    ``K_1 ... K_N``-fold window copy of im2col.
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -157,20 +159,17 @@ def conv_nd_direct(x, kernel) -> np.ndarray:
             f"kernel expects {kernel.shape[1]} input channels, got "
             f"{x.shape[0]}"
         )
-    n = x.ndim - 1
-    for i in range(n):
-        if kernel.shape[2 + i] > x.shape[1 + i]:
+    for i, (d, k) in enumerate(zip(x.shape[1:], kernel.shape[2:])):
+        if k > d:
             raise ValueError(
-                f"kernel size {kernel.shape[2 + i]} exceeds input extent "
-                f"{x.shape[1 + i]} on spatial mode {i}"
+                f"kernel size {k} exceeds input extent {d} on spatial mode {i}"
             )
-    windows = sliding_window_view(
-        x, kernel.shape[2:], axis=tuple(range(1, n + 1))
-    )
-    out_subs = _LETTERS[:n]
-    k_subs = _LETTERS[n : 2 * n]
-    spec = f"tc{k_subs},c{out_subs}{k_subs}->t{out_subs}"
-    return np.einsum(spec, kernel, windows)
+    extent = [d - k + 1 for d, k in zip(x.shape[1:], kernel.shape[2:])]
+    out = np.zeros((kernel.shape[0], *extent))
+    for offset in np.ndindex(*kernel.shape[2:]):
+        window = tuple(slice(o, o + e) for o, e in zip(offset, extent))
+        out += np.tensordot(kernel[(..., *offset)], x[(slice(None), *window)], axes=1)
+    return out
 
 
 def conv2d_direct(x, kernel) -> np.ndarray:

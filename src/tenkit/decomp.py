@@ -228,7 +228,7 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     ``size // I_n`` of some mode-``n`` unfolding; a CP rank may exceed
     the mode sizes themselves).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.check_finite(x, "cp_als")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     opts = opts or DecompOptions()
@@ -357,7 +357,7 @@ def tucker_hooi(
     never drops below the HOSVD fit. Stops when the fit change falls
     below ``opts.tol`` or after ``opts.max_iters`` sweeps.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.check_finite(x, "tucker_hooi")
     ranks = _check_tucker_ranks(x.shape, ranks)
     opts = opts or DecompOptions()
     factors = _hosvd_bases(x, ranks)
@@ -505,7 +505,7 @@ def mpca(x, ranks, opts: DecompOptions | None = None) -> MpcaResult:
     singular subspace of the partially projected unfolding, so the
     captured scatter is non-decreasing per sweep.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.check_finite(x, "mpca")
     if x.ndim < 2:
         raise ValueError("mpca needs at least one feature mode plus samples")
     n_feat = x.ndim - 1

@@ -26,6 +26,7 @@ models produce byte-identical directories.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -99,7 +100,7 @@ def read_tnsr(path) -> np.ndarray:
     shape = struct.unpack_from(f"<{order}Q", data, shape_off)
     if any(s < 1 for s in shape):
         raise FormatError(f"{path}: mode sizes must be positive, got {shape}")
-    count = int(np.prod(shape, dtype=np.uint64))
+    count = math.prod(shape)  # a Python int: no wrap-around
     expected = 8 * count
     actual = len(data) - shape_end
     if actual != expected:

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -69,6 +70,16 @@ def test_info_bad_magic_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "info", str(path))
     assert code == 1
     assert "byte 0" in err
+
+
+def test_info_shape_product_beyond_uint64_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.tnsr"
+    path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 0, 2) + struct.pack("<2Q", 2**32, 2**32))
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "payload at byte 32" in err
 
 
 def test_info_json(tmp_path, capsys, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,77 @@ def test_conv_kernel_manifest_roundtrip(tmp_path, rng):
     save_model(tmp_path / "sep", sep)
     back = load_model(tmp_path / "sep")
     assert np.array_equal(back.reconstruct(), sep.reconstruct())
+
+
+# ---------------------------------------------------------------------------
+# direct convolution, one channel contraction per kernel offset
+
+
+def loop_conv_nd(x, w):
+    """Valid N-D multichannel cross-correlation by explicit summation."""
+    t, c, *ks = w.shape
+    extent = [d - k + 1 for d, k in zip(x.shape[1:], ks)]
+    out = np.zeros((t, *extent))
+    for idx in np.ndindex(t, *extent):
+        acc = 0.0
+        for ci in range(c):
+            for off in np.ndindex(*ks):
+                pos = tuple(p + o for p, o in zip(idx[1:], off))
+                acc += w[(idx[0], ci, *off)] * x[(ci, *pos)]
+        out[idx] = acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "t, c, dims, ks",
+    [
+        (3, 2, (7,), (3,)),
+        (1, 3, (6,), (2,)),
+        (2, 1, (5,), (5,)),
+        (3, 2, (5, 6), (2, 3)),
+        (1, 2, (4, 5), (3, 2)),
+        (2, 1, (5, 4), (2, 2)),
+        (2, 3, (3, 4), (3, 4)),
+        (2, 2, (4, 3, 5), (2, 2, 3)),
+        (1, 1, (3, 4, 3), (2, 3, 1)),
+        (2, 2, (3, 2, 3), (3, 2, 3)),
+    ],
+)
+def test_conv_nd_direct_matches_loop_oracle(rng, t, c, dims, ks):
+    x = rng.standard_normal((c, *dims))
+    w = rng.standard_normal((t, c, *ks))
+    got = conv_nd_direct(x, w)
+    ref = loop_conv_nd(x, w)
+    assert got.shape == ref.shape
+    # both sums round within n * eps of the sum of the term magnitudes
+    terms = c * int(np.prod(ks))
+    bound = 2 * terms * np.finfo(np.float64).eps * loop_conv_nd(np.abs(x), np.abs(w))
+    assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_conv_nd_direct_without_spatial_modes_is_matrix_vector(rng):
+    x = rng.standard_normal(5)
+    w = rng.standard_normal((3, 5))
+    assert np.array_equal(conv_nd_direct(x, w), w @ x)
+
+
+def test_conv_nd_direct_output_is_contiguous_float64(rng):
+    x = rng.standard_normal((6, 5, 3)).transpose(2, 1, 0)  # non-contiguous view
+    w = rng.integers(-3, 4, size=(4, 3, 2, 2))  # integer kernel
+    out = conv_nd_direct(x, w)
+    assert out.dtype == np.float64
+    assert out.flags.c_contiguous
+
+
+def test_conv_nd_direct_extra_memory_is_about_one_output(rng):
+    x = rng.standard_normal((16, 6, 20, 20))
+    w = rng.standard_normal((16, 16, 3, 3, 3))
+    out_bytes = 8 * 16 * 4 * 18 * 18
+    tracemalloc.start()
+    try:
+        conv_nd_direct(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an im2col copy of the 27 windows would peak near 27 outputs
+    assert peak < 5 * out_bytes

@@ -382,6 +382,34 @@ def test_mpca_rejects_nan_on_padded_basis():
         mpca(x, (2,))
 
 
+def _tensor_with_one_nan():
+    x = np.arange(24.0).reshape(3, 4, 2)
+    x[1, 2, 1] = np.nan
+    return x
+
+
+def test_cp_als_rejects_nan_naming_itself():
+    with pytest.raises(ValueError, match=r"^cp_als requires finite entries \(1 of 24"):
+        cp_als(_tensor_with_one_nan(), 2)
+
+
+def test_cp_als_random_init_rejects_nan_naming_itself():
+    # random init never reaches an SVD
+    opts = DecompOptions(init="random", seed=0)
+    with pytest.raises(ValueError, match=r"^cp_als requires finite entries \(1 of 24"):
+        cp_als(_tensor_with_one_nan(), 2, opts)
+
+
+def test_tucker_hooi_rejects_nan_naming_itself():
+    with pytest.raises(ValueError, match=r"^tucker_hooi requires finite entries \(1 of 24"):
+        tucker_hooi(_tensor_with_one_nan(), (2, 2, 2))
+
+
+def test_mpca_rejects_nan_naming_itself():
+    with pytest.raises(ValueError, match=r"^mpca requires finite entries \(1 of 24"):
+        mpca(_tensor_with_one_nan(), (2, 2))
+
+
 # ---------------------------------------------------------------------------
 # multifactor analysis
 

@@ -67,6 +67,15 @@ def test_tnsr_oversized_payload(tmp_path, rng):
         read_tnsr(path)
 
 
+def test_tnsr_shape_product_beyond_uint64(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in uint64, which would match the empty payload
+    path = tmp_path / "huge.tnsr"
+    path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 0, 2) + struct.pack("<2Q", 2**32, 2**32))
+    with pytest.raises(FormatError, match="payload at byte 32 has 0 bytes") as exc:
+        read_tnsr(path)
+    assert f"expected {8 * 2**64}" in str(exc.value)
+
+
 def test_tnsr_reserved_bytes(tmp_path):
     path = tmp_path / "bad.tnsr"
     path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 7, 1) + struct.pack("<Q", 1) + b"\x00" * 8)
