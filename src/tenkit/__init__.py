@@ -12,6 +12,7 @@ from .core import (
     mode_n_conv1d,
     mode_n_product,
     mode_n_vec_product,
+    mttkrp,
     multi_mode_product,
     norm_l0,
     norm_lp,

@@ -160,9 +160,10 @@ def conv_nd_direct(x, kernel) -> np.ndarray:
             f"{x.shape[0]}"
         )
     for i, (d, k) in enumerate(zip(x.shape[1:], kernel.shape[2:])):
-        if k > d:
+        if not 1 <= k <= d:
             raise ValueError(
-                f"kernel size {k} exceeds input extent {d} on spatial mode {i}"
+                f"kernel size {k} on spatial mode {i} must be between 1 "
+                f"and the input extent {d}"
             )
     extent = [d - k + 1 for d, k in zip(x.shape[1:], kernel.shape[2:])]
     out = np.zeros((kernel.shape[0], *extent))

@@ -29,6 +29,7 @@ __all__ = [
     "vectorize",
     "kronecker",
     "khatri_rao",
+    "mttkrp",
     "hadamard",
     "outer",
     "mode_n_product",
@@ -120,6 +121,47 @@ def khatri_rao(matrices) -> np.ndarray:
         return np.einsum("ir,jr->ijr", a, b).reshape(-1, cols)
 
     return reduce(kr2, mats)
+
+
+def mttkrp(tensor, matrices: dict, ranked: bool = False) -> np.ndarray:
+    """Contract each mode ``k`` in ``matrices`` with ``matrices[k]``,
+    column by column: element ``(..., r)`` sums ``tensor[...] *
+    prod_k matrices[k][i_k, r]``, and the other modes stay, in order,
+    followed by the rank axis. All modes but ``n`` give
+    ``unfold(tensor, n) @ khatri_rao(others)`` without the Khatri-Rao
+    matrix. With ``ranked=True`` the tensor already ends in the rank
+    axis (a partial result). Without it, the first contraction is one
+    GEMM, on the last or the first axis when either is listed, so a
+    C-ordered tensor is not copied.
+    """
+    tensor = _as_tensor(tensor)
+    mats = {k: _as_tensor(m) for k, m in matrices.items()}
+    rank = next(iter(mats.values())).shape[-1] if mats else None
+    for k, m in mats.items():
+        if not 0 <= k < tensor.ndim - ranked or m.shape != (tensor.shape[k], rank) or (
+            ranked and tensor.shape[-1] != rank
+        ):
+            raise ValueError(
+                f"matrix of shape {m.shape} does not fit mode {k} of a "
+                f"{'ranked ' if ranked else ''}tensor of shape {tensor.shape}"
+            )
+    if mats and not ranked:
+        n = tensor.ndim - 1 if tensor.ndim - 1 in mats else min(mats)
+        u = mats.pop(n)
+        rest = tensor.shape[:n] + tensor.shape[n + 1 :] + (rank,)
+        if n == 0:  # U_0.T @ x.reshape(I_0, -1), taken transposed
+            tensor = tensor.reshape(u.shape[0], -1).T @ u
+        else:  # a view, not a copy, when n is the last axis
+            tensor = np.moveaxis(tensor, n, -1).reshape(-1, u.shape[0]) @ u
+        tensor = tensor.reshape(rest)
+        mats = {k - (k > n): m for k, m in mats.items()}
+    if mats:
+        axes = list(range(tensor.ndim))
+        operands = [tensor, axes]
+        for k, m in mats.items():
+            operands += [m, [k, axes[-1]]]
+        tensor = np.einsum(*operands, [a for a in axes if a not in mats])
+    return tensor
 
 
 def hadamard(a, b) -> np.ndarray:

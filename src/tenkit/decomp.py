@@ -19,6 +19,7 @@ from .core import (
     frobenius,
     khatri_rao,
     mode_n_product,
+    mttkrp,
     multi_mode_product,
     unfold,
 )
@@ -212,15 +213,36 @@ def _cp_init(x, rank, opts, rng):
     return factors
 
 
+def _solve_normal(gram, rhs):
+    # F with F @ gram = rhs by Cholesky, its two triangular solves taken
+    # as products with the inverse factor (one LAPACK call, not two); the
+    # pseudo-inverse when the Gram is singular to its cutoff
+    try:
+        low = np.linalg.cholesky(gram)
+        pivots = np.diag(low) ** 2
+        if pivots.min() >= linalg.PINV_CUTOFF * pivots.max():
+            inv = np.linalg.inv(low)
+            return (rhs @ inv.T) @ inv
+    except np.linalg.LinAlgError:
+        pass
+    return linalg.lstsq(gram, rhs.T).T
+
+
 def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = False):
     """CP decomposition by alternating least squares.
 
     Each sweep solves, for every mode in turn, the linear least-squares
-    problem for that factor with all others fixed (via the Khatri-Rao
-    normal equations and a pseudo-inverse), then renormalizes the factor
-    columns into ``weights``. The fit ``1 - ||X - Xhat|| / ||X||`` is
-    non-decreasing across sweeps; iteration stops when its change drops
-    below ``opts.tol`` or after ``opts.max_iters`` sweeps.
+    problem for that factor with all others fixed, then renormalizes the
+    factor columns into ``weights``. Before each half of the modes is
+    updated, ``x`` is contracted once with the other half's factors, and
+    each mode of the half contracts that small partial with the rest of
+    its half, so no Khatri-Rao matrix is built (Phan, Tichavsky &
+    Cichocki 2013). The normal equations, from cached factor Grams, are
+    solved by Cholesky, or by the pseudo-inverse when the Gram is
+    singular to ``linalg.PINV_CUTOFF``. The fit
+    ``1 - ||X - Xhat|| / ||X||`` is non-decreasing across sweeps;
+    iteration stops when its change drops below ``opts.tol`` or after
+    ``opts.max_iters`` sweeps.
 
     With ``return_info=True`` also returns a dict with the fit trace,
     iteration count, convergence flag, and an over-parametrization flag
@@ -245,26 +267,28 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
         )
 
     factors = _cp_init(x, rank, opts, rng)
+    grams = [f.T @ f for f in factors]
     weights = np.ones(rank)
     norm_x = frobenius(x)
     fits = []
     converged = False
+    lead, trail = range(x.ndim // 2), range(x.ndim // 2, x.ndim)
 
     for sweep in range(opts.max_iters):
-        for n in range(x.ndim):
-            others = [f for k, f in enumerate(factors) if k != n]
-            if not others:  # order-1: any split of x across components
-                factors[n] = np.tile(x[:, None], (1, rank)) / rank
-            else:
-                gram = np.ones((rank, rank))
-                for f in others:
-                    gram *= f.T @ f
-                mttkrp = unfold(x, n) @ khatri_rao(others)
-                factors[n] = linalg.lstsq(gram, mttkrp.T).T
-            norms = np.linalg.norm(factors[n], axis=0)
-            safe = np.where(norms > 0, norms, 1.0)
-            factors[n] = factors[n] / safe
-            weights = norms
+        for own, other in ((lead, trail), (trail, lead)):
+            partial = mttkrp(x, {k: factors[k] for k in other})
+            for n in own:
+                if not other:  # order-1: any split of x across components
+                    factors[n] = np.tile(x[:, None], (1, rank)) / rank
+                else:
+                    rest = {k - own.start: factors[k] for k in own if k != n}
+                    gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
+                    factors[n] = _solve_normal(gram, mttkrp(partial, rest, ranked=True))
+                norms = np.linalg.norm(factors[n], axis=0)
+                safe = np.where(norms > 0, norms, 1.0)
+                factors[n] = factors[n] / safe
+                grams[n] = factors[n].T @ factors[n]
+                weights = norms
         if norm_x == 0:
             fit = 1.0
         else:

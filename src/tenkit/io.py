@@ -65,51 +65,54 @@ def read_tnsr(path) -> np.ndarray:
 
     Raises :class:`FormatError` with the offending byte offset on bad
     magic, version, or reserved bytes, and with expected vs actual
-    sizes on truncated or oversized payloads.
+    sizes on truncated or oversized payloads, before it allocates the
+    result; the payload is read straight into it.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise FormatError(
-            f"{path}: header truncated, expected at least "
-            f"{_HEADER.size} bytes, got {len(data)}"
-        )
-    magic, version, reserved, order = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise FormatError(
-            f"{path}: bad magic at byte 0, expected {MAGIC!r}, got {magic!r}"
-        )
-    if version != VERSION:
-        raise FormatError(
-            f"{path}: unsupported version at byte 4, expected "
-            f"{VERSION}, got {version}"
-        )
-    if reserved != 0:
-        raise FormatError(
-            f"{path}: reserved bytes 6-7 must be zero, got {reserved}"
-        )
-    if order < 1:
-        raise FormatError(f"{path}: order at byte 8 must be >= 1, got {order}")
-    shape_off = _HEADER.size
-    shape_end = shape_off + 8 * order
-    if len(data) < shape_end:
-        raise FormatError(
-            f"{path}: shape truncated at byte {shape_off}, expected "
-            f"{8 * order} bytes of mode sizes, got {len(data) - shape_off}"
-        )
-    shape = struct.unpack_from(f"<{order}Q", data, shape_off)
-    if any(s < 1 for s in shape):
-        raise FormatError(f"{path}: mode sizes must be positive, got {shape}")
-    count = math.prod(shape)  # a Python int: no wrap-around
-    expected = 8 * count
-    actual = len(data) - shape_end
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload at byte {shape_end} has {actual} bytes, "
-            f"expected {expected} (shape {tuple(shape)})"
-        )
-    arr = np.frombuffer(data, dtype="<f8", count=count, offset=shape_end)
-    return arr.reshape(shape).astype(np.float64, copy=True)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise FormatError(
+                f"{path}: header truncated, expected at least "
+                f"{_HEADER.size} bytes, got {size}"
+            )
+        magic, version, reserved, order = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise FormatError(
+                f"{path}: bad magic at byte 0, expected {MAGIC!r}, got {magic!r}"
+            )
+        if version != VERSION:
+            raise FormatError(
+                f"{path}: unsupported version at byte 4, expected "
+                f"{VERSION}, got {version}"
+            )
+        if reserved != 0:
+            raise FormatError(
+                f"{path}: reserved bytes 6-7 must be zero, got {reserved}"
+            )
+        if order < 1:
+            raise FormatError(f"{path}: order at byte 8 must be >= 1, got {order}")
+        shape_off = _HEADER.size
+        shape_end = shape_off + 8 * order
+        if size < shape_end:
+            raise FormatError(
+                f"{path}: shape truncated at byte {shape_off}, expected "
+                f"{8 * order} bytes of mode sizes, got {size - shape_off}"
+            )
+        shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
+        if any(s < 1 for s in shape):
+            raise FormatError(f"{path}: mode sizes must be positive, got {shape}")
+        expected = 8 * math.prod(shape)  # a Python int: no wrap-around
+        actual = size - shape_end
+        if actual == expected:
+            arr = np.empty(shape, dtype="<f8")
+            # a file that changed size since fstat still fails below
+            actual = fh.readinto(memoryview(arr).cast("B")) + len(fh.read(1))
+        if actual != expected:
+            raise FormatError(
+                f"{path}: payload at byte {shape_end} has {actual} bytes, "
+                f"expected {expected} (shape {tuple(shape)})"
+            )
+    return arr.astype(np.float64, copy=False)
 
 
 def _dump_manifest(path, manifest: dict) -> None:

@@ -150,8 +150,8 @@ _MODELS = {
     ),
 }
 
-# (format, tag) -> constructor
-_LOADERS = {(fmt, tag): build for fmt, tag, _, _, build in _MODELS.values()}
+# (format, tag) -> (meta(model), constructor)
+_LOADERS = {(fmt, tag): (meta, build) for fmt, tag, _, meta, build in _MODELS.values()}
 
 
 def save_model(directory, model) -> None:
@@ -167,18 +167,27 @@ def save_model(directory, model) -> None:
 
 
 def load_model(directory):
-    """Inverse of :func:`save_model`."""
+    """Inverse of :func:`save_model`. The manifest's ``mode_sizes``,
+    ``ranks`` and ``rank`` must match the loaded arrays."""
     fmt, arrays, meta = load_manifest(directory)
     tag_key = _TAG_KEYS.get(fmt) if isinstance(fmt, str) else None
     tag = meta.get(tag_key)
     try:
-        build = _LOADERS[fmt, tag]
+        describe, build = _LOADERS[fmt, tag]
     except (KeyError, TypeError):  # unknown, or an unhashable JSON value
         what = f"{tag_key} {tag!r}" if tag_key else f"manifest format {fmt!r}"
         raise FormatError(f"{directory}: unknown {what}") from None
     try:
-        return build(arrays, meta)
+        model = build(arrays, meta)
     except KeyError as exc:
         raise FormatError(f"{directory}: manifest lacks key {exc}") from None
     except TypeError as exc:  # e.g. the wrong number of factor files
         raise FormatError(f"{directory}: {exc}") from None
+    derived = describe(model)  # the shape metadata the arrays imply
+    for key in ("mode_sizes", "ranks", "rank"):
+        if key in derived and meta.get(key) != derived[key]:
+            raise FormatError(
+                f"{directory}: manifest {key!r} does not match the arrays: "
+                f"expected {derived[key]}, got {meta.get(key)!r}"
+            )
+    return model

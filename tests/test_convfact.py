@@ -366,6 +366,14 @@ def test_conv_nd_direct_without_spatial_modes_is_matrix_vector(rng):
     assert np.array_equal(conv_nd_direct(x, w), w @ x)
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 0), (1, 2, 2, 0), (1, 2, 0, 2)])
+def test_conv_nd_direct_rejects_an_empty_kernel_mode(shape):
+    x = np.ones((2, 3, 4)[: len(shape) - 1])
+    mode = shape[2:].index(0)
+    with pytest.raises(ValueError, match=f"kernel size 0 on spatial mode {mode}"):
+        conv_nd_direct(x, np.ones(shape))
+
+
 def test_conv_nd_direct_output_is_contiguous_float64(rng):
     x = rng.standard_normal((6, 5, 3)).transpose(2, 1, 0)  # non-contiguous view
     w = rng.integers(-3, 4, size=(4, 3, 2, 2))  # integer kernel

@@ -17,6 +17,7 @@ from tenkit import (
     mode_n_conv1d,
     mode_n_product,
     mode_n_vec_product,
+    mttkrp,
     norm_l0,
     norm_lp,
     nuclear,
@@ -143,6 +144,68 @@ def test_khatri_rao_three_matrices_associative(rng):
 def test_khatri_rao_column_mismatch():
     with pytest.raises(ValueError):
         khatri_rao([np.ones((2, 2)), np.ones((2, 3))])
+
+
+# ---------------------------------------------------------------------------
+# mttkrp
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5), (2, 3, 4, 5), (3, 2, 4, 2, 3)])
+def test_mttkrp_matches_unfolding_times_khatri_rao(rng, shape):
+    x = rng.standard_normal(shape)
+    mats = [rng.standard_normal((s, 3)) for s in shape]
+    for n in range(len(shape)):
+        others = [k for k in range(len(shape)) if k != n]
+        got = mttkrp(x, {k: mats[k] for k in others})
+        ref = unfold(x, n) @ khatri_rao([mats[k] for k in others])
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5), (3, 2, 4, 2, 3)])
+def test_mttkrp_shared_partial_gives_every_mode_of_its_half(rng, shape):
+    x = rng.standard_normal(shape)
+    mats = [rng.standard_normal((s, 2)) for s in shape]
+    order = len(shape)
+    lead, trail = range(order // 2), range(order // 2, order)
+    for own, other in ((lead, trail), (trail, lead)):
+        partial = mttkrp(x, {k: mats[k] for k in other})
+        assert partial.shape == tuple(shape[k] for k in own) + (2,)
+        for n in own:
+            rest = {k - own.start: mats[k] for k in own if k != n}
+            got = mttkrp(partial, rest, ranked=True)
+            ref = unfold(x, n) @ khatri_rao([m for k, m in enumerate(mats) if k != n])
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mttkrp_on_an_inner_mode_only(rng):
+    x = rng.standard_normal((3, 4, 5))
+    u = rng.standard_normal((4, 2))
+    ref = np.einsum("ijk,jr->ikr", x, u)
+    assert np.abs(mttkrp(x, {1: u}) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mttkrp_without_modes_returns_the_tensor(rng):
+    x = rng.standard_normal((3, 4))
+    assert np.array_equal(mttkrp(x, {}), x)
+
+
+@pytest.mark.parametrize(
+    "matrices, ranked",
+    [
+        ({3: np.ones((5, 2))}, False),
+        ({1: np.ones((5, 2))}, False),
+        ({0: np.ones((3, 2)), 1: np.ones((4, 3))}, False),
+        ({1: np.ones((1, 2))}, False),  # no broadcasting of a size-1 mode
+        ({2: np.ones((5, 5))}, True),  # the last axis is the rank axis
+        ({0: np.ones((3, 2))}, True),  # a rank axis of 5, not 2
+    ],
+)
+def test_mttkrp_rejects_matrices_that_do_not_fit(matrices, ranked):
+    x = np.ones((3, 4, 5))
+    k = list(matrices)[-1]
+    with pytest.raises(ValueError, match=f"does not fit mode {k} of a"):
+        mttkrp(x, matrices, ranked)
 
 
 def test_hadamard():

@@ -10,6 +10,7 @@ from tenkit import (
     TTTensor,
     TuckerTensor,
     cp_als,
+    khatri_rao,
     mpca,
     multifactor_analysis,
     multi_mode_product,
@@ -19,8 +20,9 @@ from tenkit import (
     tucker_hosvd,
     unfold,
 )
-from tenkit.decomp import tt_max_ranks
-from tenkit.linalg import svd
+from tenkit import linalg
+from tenkit.decomp import _solve_normal, tt_max_ranks
+from tenkit.linalg import column_signs, left_singular_basis, lstsq, svd
 
 
 def random_kruskal(rng, shape, rank, positive=False):
@@ -149,6 +151,105 @@ def test_cp_rank_above_mode_size_does_not_warn(rng):
         warnings.simplefilter("error")
         _, info = cp_als(x, 16, DecompOptions(max_iters=2), return_info=True)
     assert not info["over_parametrized"]
+
+
+def reference_cp_als(x, rank, sweeps, seed=0):
+    # textbook ALS: HOSVD init, a Khatri-Rao MTTKRP and a pseudo-inverse
+    # solve per mode, the dense fit, then the sign convention
+    rng = np.random.default_rng(seed)
+    factors = []
+    for n, size in enumerate(x.shape):
+        k = min(rank, size)
+        u = left_singular_basis(unfold(x, n), k)
+        factors.append(np.hstack([u, rng.standard_normal((size, rank - k))]))
+    fits = []
+    for _ in range(sweeps):
+        for n in range(x.ndim):
+            others = [f for k, f in enumerate(factors) if k != n]
+            gram = np.prod([f.T @ f for f in others], axis=0)
+            f = lstsq(gram, (unfold(x, n) @ khatri_rao(others)).T).T
+            weights = np.linalg.norm(f, axis=0)
+            factors[n] = f / np.where(weights > 0, weights, 1.0)
+        resid = x - KruskalTensor(weights, factors).to_tensor()
+        fits.append(1.0 - np.linalg.norm(resid) / np.linalg.norm(x))
+    total = np.ones(rank)
+    for f in factors[:-1]:
+        signs = column_signs(f)
+        f *= signs
+        total *= signs
+    factors[-1] *= total
+    return KruskalTensor(weights, factors), fits
+
+
+@pytest.mark.parametrize(
+    "shape, rank, sweeps",
+    [((7, 8, 9), 3, 20), ((5, 6), 2, 10), ((64, 64, 3, 3), 16, 100)],
+)
+def test_cp_matches_khatri_rao_pseudo_inverse_reference(rng, shape, rank, sweeps):
+    x = rng.standard_normal(shape)
+    opts = DecompOptions(max_iters=sweeps, tol=1e-300)
+    got, info = cp_als(x, rank, opts, return_info=True)
+    # a matrix reaches its best rank-2 fit, where the fit stops changing
+    assert info["iterations"] == sweeps or len(shape) == 2
+    ref, fits = reference_cp_als(x, rank, info["iterations"])
+    assert np.abs(np.array(info["fits"]) - fits).max() <= 1e-12
+    assert np.abs(got.weights - ref.weights).max() <= 1e-10 * ref.weights.max()
+    for a, b in zip(got.factors, ref.factors):
+        assert np.abs(a - b).max() <= 1e-10
+
+
+def test_cp_singular_gram_falls_back_to_pseudo_inverse(rng, monkeypatch):
+    # rank 5 on 2x2x2: every Gram is a Hadamard product of two rank-2
+    # Grams, so it is singular and Cholesky cannot be trusted
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return lstsq(a, b)
+
+    monkeypatch.setattr(linalg, "lstsq", counted)
+    x = rng.standard_normal((2, 2, 2))
+    with pytest.warns(RuntimeWarning, match="over-parametrized"):
+        k, info = cp_als(x, 5, return_info=True)
+    assert calls
+    assert info["over_parametrized"]
+    assert np.all(np.isfinite(k.weights)) and np.all(k.weights >= 0)
+    assert all(np.all(np.isfinite(f)) for f in k.factors)
+    assert rel_err(k.to_tensor(), x) < 1e-6
+
+
+def test_cp_normal_solve_below_the_cutoff_is_the_pseudo_inverse():
+    # nearly equal factor columns: Cholesky succeeds, but its smallest
+    # squared pivot is ~5e-15 of the largest, and its solution is ~1e13
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 3))
+    a[:, 2] = a[:, 1] + 1e-7 * rng.standard_normal(6)
+    gram, rhs = a.T @ a, rng.standard_normal((4, 3))
+    got = _solve_normal(gram, rhs)
+    assert np.array_equal(got, lstsq(gram, rhs.T).T)
+    assert np.abs(got).max() < 1.0
+
+
+def test_cp_normal_solve_is_exact_on_a_well_conditioned_gram(rng):
+    a = rng.standard_normal((20, 4))
+    gram, rhs = a.T @ a, rng.standard_normal((5, 4))
+    assert np.abs(_solve_normal(gram, rhs) @ gram - rhs).max() <= 1e-13
+
+
+def test_cp_order_one_splits_the_vector(rng):
+    x = rng.standard_normal(6)
+    with pytest.warns(RuntimeWarning, match="over-parametrized"):
+        k, info = cp_als(x, 3, return_info=True)
+    assert np.allclose(k.to_tensor(), x, atol=1e-14)
+    assert info["fits"][-1] == pytest.approx(1.0, abs=1e-14)
+    assert info["converged"] and info["iterations"] == 2
+
+
+def test_cp_order_two_recovers_low_rank_matrix(rng):
+    x = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+    k, info = cp_als(x, 2, return_info=True)
+    assert rel_err(k.to_tensor(), x) < 1e-8
+    assert np.all(np.diff(info["fits"]) >= -1e-12)
 
 
 # ---------------------------------------------------------------------------

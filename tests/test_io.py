@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +76,27 @@ def test_tnsr_shape_product_beyond_uint64(tmp_path):
     with pytest.raises(FormatError, match="payload at byte 32 has 0 bytes") as exc:
         read_tnsr(path)
     assert f"expected {8 * 2**64}" in str(exc.value)
+
+
+def test_tnsr_read_holds_one_copy_of_the_payload(tmp_path, rng):
+    t = rng.standard_normal((512, 512))  # a 2 MiB payload
+    path = tmp_path / "t.tnsr"
+    write_tnsr(path, t)
+    tracemalloc.start()
+    try:
+        back = read_tnsr(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, t)
+    assert peak < 1.5 * t.nbytes
+
+
+def test_tnsr_huge_order_fails_before_reading_the_shape(tmp_path):
+    path = tmp_path / "huge.tnsr"
+    path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 0, 2**61) + b"\x00" * 16)
+    with pytest.raises(FormatError, match=f"expected {2**64} bytes of mode sizes, got 16"):
+        read_tnsr(path)
 
 
 def test_tnsr_reserved_bytes(tmp_path):
@@ -187,3 +210,22 @@ def test_manifest_of_wrong_json_type_is_format_error(tmp_path, rng, manifest):
 def test_save_model_rejects_unsupported_type(tmp_path):
     with pytest.raises(TypeError, match="ndarray"):
         save_model(tmp_path / "model", np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "model, key, value, expected",
+    [
+        ("kruskal", "mode_sizes", [3, 4], [3, 3]),
+        ("kruskal", "rank", 3, 2),
+        ("tucker", "ranks", [2, 3, 2], [2, 2, 2]),
+        ("tucker", "mode_sizes", [3, 4], [3, 4, 2]),
+    ],
+)
+def test_manifest_shape_metadata_must_match_the_arrays(tmp_path, rng, model, key, value, expected):
+    if model == "kruskal":
+        save_model(tmp_path / "model", KruskalTensor(np.ones(2), [rng.standard_normal((3, 2))] * 2))
+    else:
+        save_model(tmp_path / "model", tucker_hosvd(rng.standard_normal((3, 4, 2)), (2, 2, 2)))
+    _edit_manifest(tmp_path / "model", lambda m: m.__setitem__(key, value))
+    with pytest.raises(FormatError, match=f"'{key}'.*" + re.escape(f"expected {expected}, got {value}")):
+        load_model(tmp_path / "model")
