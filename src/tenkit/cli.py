@@ -82,6 +82,7 @@ def cmd_info(args) -> dict:
         "frobenius_norm": norm,
         "l0_density": nnz / tensor.size,
         "nonzeros": nnz,
+        "non_finite": tensor.size - np.count_nonzero(np.isfinite(tensor)),
     }
 
 

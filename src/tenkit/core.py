@@ -132,7 +132,10 @@ def mttkrp(tensor, matrices: dict, ranked: bool = False) -> np.ndarray:
     matrix. With ``ranked=True`` the tensor already ends in the rank
     axis (a partial result). Without it, the first contraction is one
     GEMM, on the last or the first axis when either is listed, so a
-    C-ordered tensor is not copied.
+    C-ordered tensor is not copied. When that end axis is smaller than
+    the rank, the GEMM takes the whole run of listed axes at that end,
+    against their Khatri-Rao product, rather than writing a partial that
+    holds the run's other axes times the rank.
     """
     tensor = _as_tensor(tensor)
     mats = {k: _as_tensor(m) for k, m in matrices.items()}
@@ -146,15 +149,24 @@ def mttkrp(tensor, matrices: dict, ranked: bool = False) -> np.ndarray:
                 f"{'ranked ' if ranked else ''}tensor of shape {tensor.shape}"
             )
     if mats and not ranked:
-        n = tensor.ndim - 1 if tensor.ndim - 1 in mats else min(mats)
-        u = mats.pop(n)
-        rest = tensor.shape[:n] + tensor.shape[n + 1 :] + (rank,)
-        if n == 0:  # U_0.T @ x.reshape(I_0, -1), taken transposed
+        last = tensor.ndim - 1
+        n = last if last in mats else min(mats)
+        run = [n]
+        if tensor.shape[n] < rank and n in (0, last):
+            # an end axis smaller than the rank: take the whole run of
+            # listed axes at that end, so the partial does not grow
+            step = -1 if n == last else 1
+            while run[-1] + step in mats:
+                run.append(run[-1] + step)
+            run.sort()
+        u = mats.pop(n) if len(run) == 1 else khatri_rao([mats.pop(k) for k in run])
+        rest = [s for k, s in enumerate(tensor.shape) if k not in run] + [rank]
+        if n == 0:  # U.T @ x.reshape(rows, -1), taken transposed
             tensor = tensor.reshape(u.shape[0], -1).T @ u
-        else:  # a view, not a copy, when n is the last axis
+        else:  # a view, not a copy, when the run ends at the last axis
             tensor = np.moveaxis(tensor, n, -1).reshape(-1, u.shape[0]) @ u
         tensor = tensor.reshape(rest)
-        mats = {k - (k > n): m for k, m in mats.items()}
+        mats = {k - sum(j < k for j in run): m for k, m in mats.items()}
     if mats:
         axes = list(range(tensor.ndim))
         operands = [tensor, axes]

@@ -357,6 +357,18 @@ def _hooi_sweeps(x, factors, ranks):
         yield multi_mode_product(x, factors, transpose=True)
 
 
+def _tucker_fit(x, norm_x, core, factors):
+    # 1 - ||X - Xhat|| / ||X||. With orthonormal factors the residual is
+    # ||X||^2 - ||core||^2; below 1e3 eps ||X||^2 that difference is
+    # rounding noise, so the residual is then taken densely.
+    if not norm_x:
+        return 1.0
+    resid_sq = norm_x**2 - frobenius(core) ** 2
+    if resid_sq < 1e3 * np.finfo(np.float64).eps * norm_x**2:
+        resid_sq = frobenius(x - multi_mode_product(core, factors)) ** 2
+    return 1.0 - np.sqrt(resid_sq) / norm_x
+
+
 def tucker_hosvd(x, ranks) -> TuckerTensor:
     """Truncated higher-order SVD.
 
@@ -391,10 +403,7 @@ def tucker_hooi(
 
     sweeps = _hooi_sweeps(x, factors, ranks)
     for sweep, core in zip(range(opts.max_iters), sweeps):
-        # orthonormal factors: ||X - Xhat||^2 = ||X||^2 - ||core||^2
-        resid_sq = max(norm_x**2 - frobenius(core) ** 2, 0.0)
-        fit = 1.0 - np.sqrt(resid_sq) / norm_x if norm_x else 1.0
-        fits.append(fit)
+        fits.append(_tucker_fit(x, norm_x, core, factors))
         if sweep > 0 and abs(fits[-1] - fits[-2]) < opts.tol:
             converged = True
             break

@@ -2,7 +2,10 @@
 
 Thin, deterministic wrappers over LAPACK via ``numpy.linalg``, plus the
 proximal operators (soft thresholding, singular value thresholding) and
-a minimum-norm least-squares solve.
+a minimum-norm least-squares solve. ``left_singular_basis`` takes the
+leading left singular subspace from ``eigh`` of the short-side Gram
+``A @ A.T``, with the LAPACK SVD as its fallback; ``svd``, ``svt`` and
+``lstsq`` are exact LAPACK paths.
 
 Determinism: ``svd`` post-processes the LAPACK output with a fixed sign
 convention (in each column of U the largest-magnitude entry is made
@@ -107,21 +110,28 @@ def truncated_svd(a, rank: int) -> SVDResult:
 
 def left_singular_basis(a, rank: int) -> np.ndarray:
     """First ``rank`` left singular vectors, padded with an orthonormal
-    completion when ``rank`` exceeds ``min(a.shape)``.
+    completion when ``rank`` exceeds ``min(a.shape)``, sign-fixed with
+    :func:`column_signs`. Requires ``rank <= a.shape[0]``.
 
-    The completion comes from the full LAPACK U and is sign-fixed, so
-    the result is deterministic. Requires ``rank <= a.shape[0]``.
+    The basis is the leading eigenvectors of the short-side Gram
+    ``A @ A.T``, whose trailing eigenvectors are the completion (Halko,
+    Martinsson & Tropp 2011). When a kept singular value is below
+    ``sqrt(eps) * s_max``, where the Gram's eigenvectors lose accuracy,
+    and for a tall ``a`` with ``rank <= a.shape[1]``, whose Gram would be
+    the long side, the basis comes from the LAPACK SVD instead.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if not 1 <= rank <= a.shape[0]:
-        raise ValueError(
-            f"rank must be in [1, {a.shape[0]}], got {rank}"
-        )
-    if rank <= min(a.shape):
-        return svd(a).U[:, :rank]
-    check_finite(a, "left_singular_basis")
-    u = np.linalg.svd(a, full_matrices=True)[0]
-    return (u * column_signs(u))[:, :rank]
+    a = check_finite(a, "left_singular_basis")
+    rows, cols = a.shape
+    if not 1 <= rank <= rows:
+        raise ValueError(f"rank must be in [1, {rows}], got {rank}")
+    if not rank <= cols < rows:
+        lam, v = np.linalg.eigh(a @ a.T)
+        if lam[-min(rank, cols)] >= np.finfo(np.float64).eps * lam[-1]:
+            u = v[:, : -rank - 1 : -1]
+            return u * column_signs(u)
+    if rank > cols:  # zero columns make LAPACK's thin U the completion
+        a = np.pad(a, ((0, 0), (0, rank - cols)))
+    return svd(a).U[:, :rank]
 
 
 def soft_threshold(x, tau: float) -> np.ndarray:

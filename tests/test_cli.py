@@ -91,6 +91,23 @@ def test_info_json(tmp_path, capsys, rng):
     assert report["shape"] == [4, 2]
 
 
+def test_info_counts_non_finite_entries(tmp_path, capsys, rng):
+    path = tmp_path / "t.tnsr"
+    t = rng.standard_normal((3, 4))
+    write_tnsr(path, t)
+    code, out, _ = run_cli(capsys, "info", str(path))
+    assert code == 0
+    assert parse_report(out)["non_finite"] == "0"
+    t[0, 1], t[2, 3] = np.nan, -np.inf
+    write_tnsr(path, t)
+    code, out, _ = run_cli(capsys, "info", str(path))
+    assert code == 0
+    assert parse_report(out)["non_finite"] == "2"
+    code, out, _ = run_cli(capsys, "info", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["non_finite"] == 2
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

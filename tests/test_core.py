@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,38 @@ def test_mttkrp_on_an_inner_mode_only(rng):
     u = rng.standard_normal((4, 2))
     ref = np.einsum("ijk,jr->ikr", x, u)
     assert np.abs(mttkrp(x, {1: u}) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "shape, modes, spec",
+    [
+        ((64, 64, 3, 3), (2, 3), "abij,ir,jr->abr"),  # a trailing run
+        ((3, 2, 50, 40), (0, 1), "ijab,ir,jr->abr"),  # a leading run
+        ((2, 3, 20, 4), (0, 1, 2), "ijka,ir,jr,kr->ar"),  # the run up to a large axis
+        ((2, 3, 20, 4), (0, 1, 3), "ijal,ir,jr,lr->ar"),  # small last axis, no run
+        ((4, 2, 3), (1, 2), "ajk,jr,kr->ar"),
+    ],
+)
+def test_mttkrp_contracts_a_small_end_run_in_one_step(rng, shape, modes, spec):
+    x = rng.standard_normal(shape)
+    mats = [rng.standard_normal((shape[k], 16)) for k in modes]
+    ref = np.einsum(spec, x, *mats)
+    got = mttkrp(x, dict(zip(modes, mats)))
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mttkrp_small_end_run_keeps_the_partial_small(rng):
+    x = rng.standard_normal((64, 64, 3, 3))
+    mats = {k: rng.standard_normal((3, 16)) for k in (2, 3)}
+    tracemalloc.start()
+    try:
+        got = mttkrp(x, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (64, 64, 16)
+    assert peak < 1.5 * got.nbytes
 
 
 def test_mttkrp_without_modes_returns_the_tensor(rng):

@@ -313,6 +313,21 @@ def test_hooi_converges_fast_on_exact_rank(rng):
     assert rel_err(t.to_tensor(), x) < 1e-10
 
 
+def test_hooi_converges_fast_on_exact_rank_for_every_seed():
+    # near fit 1 the fit must not come from ||X||^2 - ||core||^2, whose
+    # rounding noise (about sqrt(eps)) exceeds the stopping tolerance
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        core = rng.standard_normal((2, 2, 2))
+        factors = [np.linalg.qr(rng.standard_normal((6, 2)))[0] for _ in range(3)]
+        x = TuckerTensor(core, factors).to_tensor()
+        t, info = tucker_hooi(x, (2, 2, 2), return_info=True)
+        err = rel_err(t.to_tensor(), x)
+        assert info["iterations"] <= 2, seed
+        assert err < 1e-10, seed
+        assert abs(info["fits"][-1] - (1.0 - err)) < 1e-12, seed
+
+
 def test_hooi_at_least_as_good_as_hosvd(rng):
     x = rng.standard_normal((4, 5, 6))
     e_hosvd = np.linalg.norm(tucker_hosvd(x, (2, 2, 2)).to_tensor() - x)

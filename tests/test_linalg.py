@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from tenkit import SVDResult, lstsq, soft_threshold, svd, svt, truncated_svd
+from tenkit import SVDResult, linalg, lstsq, soft_threshold, svd, svt, truncated_svd
 from tenkit.linalg import (
     check_finite,
     column_signs,
@@ -227,3 +227,91 @@ def test_svd_and_padded_basis_follow_column_signs(rng):
     u = left_singular_basis(a[:, :2], 5)
     assert np.array_equal(column_signs(u), np.ones(5))
     assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
+
+
+def planted(rng, shape, spectrum):
+    # U diag(spectrum) V.T with random orthonormal U and V
+    k = len(spectrum)
+    u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+    return (u * spectrum) @ v.T
+
+
+@pytest.mark.parametrize("shape", [(6, 40), (12, 12), (30, 9)])
+def test_left_singular_basis_projector_matches_svd(rng, shape):
+    k = min(shape)
+    for a in (
+        rng.standard_normal(shape),
+        planted(rng, shape, np.linspace(10.0, 1.0, k)),
+    ):
+        u_ref = svd(a).U
+        for rank in (1, k // 2, k):
+            u = left_singular_basis(a, rank)
+            assert u.shape == (shape[0], rank)
+            proj = u_ref[:, :rank] @ u_ref[:, :rank].T
+            assert np.abs(u @ u.T - proj).max() <= 1e-12
+
+
+def test_left_singular_basis_completion_is_orthonormal_and_sign_fixed(rng):
+    for a in (rng.standard_normal((7, 3)), planted(rng, (9, 4), [4.0, 3.0, 2.0, 1.0])):
+        rows, cols = a.shape
+        lead = svd(a).U
+        for rank in range(cols + 1, rows + 1):
+            u = left_singular_basis(a, rank)
+            assert u.shape == (rows, rank)
+            assert np.abs(u.T @ u - np.eye(rank)).max() <= 1e-12
+            assert np.array_equal(column_signs(u), np.ones(rank))
+            # the leading columns span the column space of a
+            assert np.abs(u[:, :cols] @ u[:, :cols].T - lead @ lead.T).max() <= 1e-12
+
+
+def spy_on_svd(monkeypatch):
+    calls = []
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return svd(a)
+
+    monkeypatch.setattr(linalg, "svd", spy)
+    return calls
+
+
+def test_left_singular_basis_falls_back_to_lapack_on_rank_deficiency(rng, monkeypatch):
+    calls = spy_on_svd(monkeypatch)
+    left_singular_basis(rng.standard_normal((6, 20)), 3)
+    left_singular_basis(planted(rng, (8, 8), np.linspace(5.0, 1.0, 8)), 8)
+    assert calls == []
+    # a kept singular value of 0: the basis is LAPACK's
+    a = planted(rng, (6, 20), [3.0, 1.0])
+    u = left_singular_basis(a, 3)
+    assert calls == [(6, 20)]
+    assert np.array_equal(u, svd(a).U[:, :3])
+    # the same with a completion: a is padded with zero columns
+    a = planted(rng, (7, 3), [2.0, 1.0])
+    u = left_singular_basis(a, 5)
+    assert calls[1:] == [(7, 5)]
+    assert np.abs(u.T @ u - np.eye(5)).max() <= 1e-12
+    assert np.array_equal(column_signs(u), np.ones(5))
+    # a tall input within its column count: the Gram would be the long side
+    left_singular_basis(rng.standard_normal((30, 4)), 2)
+    assert calls[2:] == [(30, 4)]
+
+
+def test_left_singular_basis_of_zero_matrix():
+    for shape, rank in (((4, 7), 3), ((5, 2), 4), ((3, 3), 3)):
+        u = left_singular_basis(np.zeros(shape), rank)
+        assert np.all(np.isfinite(u))
+        assert np.abs(u.T @ u - np.eye(rank)).max() <= 1e-12
+
+
+def test_left_singular_basis_is_deterministic(rng):
+    for shape, rank in (((10, 50), 4), ((8, 3), 6)):
+        a = rng.standard_normal(shape)
+        assert np.array_equal(left_singular_basis(a, rank), left_singular_basis(a, rank))
+
+
+def test_left_singular_basis_rejects_non_finite_input():
+    a = np.ones((3, 4))
+    a[1, 2] = np.nan
+    with pytest.raises(ValueError, match="left_singular_basis requires finite entries"):
+        left_singular_basis(a, 2)
