@@ -108,17 +108,12 @@ def cmd_decompose(args) -> dict:
         report["ranks"] = ranks
         report["iterations"] = info["iterations"]
     elif args.method == "tt":
-        if args.tol is not None:
-            model = tt_svd(tensor, tol=args.tol)
-            report["tol"] = args.tol
-        elif args.ranks:
-            model = tt_svd(tensor, ranks=args.ranks)
-            report["ranks"] = args.ranks
-        elif args.rank is not None:
-            model = tt_svd(tensor, ranks=args.rank)
-            report["rank"] = args.rank
-        else:
-            model = tt_svd(tensor)
+        # --ranks wins over --rank; tt_svd refuses --tol with either
+        key, ranks = ("ranks", args.ranks) if args.ranks else ("rank", args.rank)
+        model = tt_svd(tensor, ranks=ranks, tol=args.tol)
+        for k, v in (("tol", args.tol), (key, ranks)):
+            if v is not None:
+                report[k] = v
         report["tt_ranks"] = list(model.ranks)
     elif args.method == "mpca":
         if not args.ranks:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import mode_n_product
+from .core import mode_n_product, multi_mode_product
 from .decomp import DecompOptions, TuckerTensor, cp_als, tucker_hooi
 
 __all__ = [
@@ -233,7 +233,7 @@ def tucker_conv2d(x, kernel: TuckerConvKernel) -> np.ndarray:
         raise ValueError("tucker_conv2d expects a C x H x W input")
     core, (u_out, u_in, u_h, u_w) = kernel.tucker.core, kernel.tucker.factors
     z = conv1x1(x, u_in.T)
-    absorbed = mode_n_product(mode_n_product(core, u_h, 2), u_w, 3)
+    absorbed = multi_mode_product(core, (u_h, u_w), modes=(2, 3))
     z = conv_nd_direct(z, absorbed)
     return conv1x1(z, u_out)
 

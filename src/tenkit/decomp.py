@@ -346,15 +346,19 @@ def _hooi_sweeps(x, factors, ranks):
     # covers (the leading ones); later modes are never projected. Each
     # sweep refits every factor, in place, as the dominant subspace of
     # ``x`` projected onto all the other factors, then yields the core.
+    # The partials come from one running prefix, in mode order: ``x``
+    # projected onto the factors refitted so far, which after the last
+    # mode is the core. Products run in increasing mode order throughout.
     modes = range(len(factors))
     while True:
+        prefix = x
         for n in modes:
-            partial = x
-            for k in modes:
-                if k != n:
-                    partial = mode_n_product(partial, factors[k].T, k)
+            partial = multi_mode_product(
+                prefix, factors[n + 1:], modes[n + 1:], transpose=True
+            )
             factors[n] = linalg.left_singular_basis(unfold(partial, n), ranks[n])
-        yield multi_mode_product(x, factors, transpose=True)
+            prefix = mode_n_product(prefix, factors[n].T, n)
+        yield prefix
 
 
 def _tucker_fit(x, norm_x, core, factors):
@@ -465,15 +469,10 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
                 )
             if chain[0] != 1 or chain[-1] != 1:
                 raise ValueError("boundary TT-ranks must be 1")
-            # each split can carry at most min(R_k * I_k, prod of the
-            # remaining mode sizes) singular values
-            tail = 1
-            caps = [1] * (n + 1)
-            for k in range(n - 1, -1, -1):
-                tail *= x.shape[k]
-                caps[k] = tail
+            # split k can carry at most min(R_{k-1} * I_{k-1}, feasible[k])
+            # singular values
             for k in range(1, n + 1):
-                cap = min(chain[k - 1] * x.shape[k - 1], caps[k])
+                cap = min(chain[k - 1] * x.shape[k - 1], feasible[k])
                 if not 1 <= chain[k] <= cap:
                     raise ValueError(
                         f"infeasible rank chain: R_{k} = {chain[k]} exceeds "
@@ -521,11 +520,25 @@ class MpcaResult:
     scatters: list = field(default_factory=list)
     total_scatter: float = 0.0
 
+    def __post_init__(self):
+        self.cores = np.asarray(self.cores, dtype=np.float64)
+        self.projections = [
+            np.asarray(p, dtype=np.float64) for p in self.projections
+        ]
+        if self.cores.ndim != len(self.projections) + 1:
+            raise ValueError(
+                f"need one projection per core mode but the last: core "
+                f"order {self.cores.ndim}, {len(self.projections)} projections"
+            )
+        for n, p in enumerate(self.projections):
+            if p.ndim != 2 or p.shape[1] != self.cores.shape[n]:
+                raise ValueError(
+                    f"projection {n} must have {self.cores.shape[n]} "
+                    f"columns, got shape {p.shape}"
+                )
+
     def reconstruct(self) -> np.ndarray:
-        out = self.cores
-        for n, u in enumerate(self.projections):
-            out = mode_n_product(out, u, n)
-        return out
+        return multi_mode_product(self.cores, self.projections)
 
 
 def mpca(x, ranks, opts: DecompOptions | None = None) -> MpcaResult:

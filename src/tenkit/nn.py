@@ -128,13 +128,6 @@ class TrlGrads:
     bias: np.ndarray
 
 
-def _trl_project(x, layer):
-    # per-sample projection of the input modes onto the core bases
-    return multi_mode_product(
-        x, layer.weight.factors[:-1], modes=range(1, x.ndim), transpose=True
-    )
-
-
 def trl_forward(x, layer: TrlLayer) -> np.ndarray:
     """Per-sample inner product with the low-rank weight, plus bias.
 
@@ -147,7 +140,9 @@ def trl_forward(x, layer: TrlLayer) -> np.ndarray:
         raise ValueError(
             f"input modes {x.shape[1:]} do not match layer {layer.in_shape}"
         )
-    z = _trl_project(x, layer)
+    z = multi_mode_product(
+        x, layer.weight.factors[:-1], modes=range(1, x.ndim), transpose=True
+    )
     t = generalized_inner(z, layer.weight.core, x.ndim - 1)
     return t @ layer.weight.factors[-1].T + layer.bias
 
@@ -156,36 +151,37 @@ def trl_grad(x, layer: TrlLayer, upstream) -> TrlGrads:
     """Analytic gradients of ``trl_forward`` for every parameter.
 
     ``upstream`` is the loss gradient at the output, shape ``(S, d)``.
+    Input factor ``n``'s gradient needs ``x`` projected onto every other
+    input factor. These partials come from one running prefix, in mode
+    order, which after the last mode is the projection of ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     n_in = x.ndim - 1
     core = layer.weight.core
-    u_out = layer.weight.factors[-1]
+    u_in, u_out = layer.weight.factors[:-1], layer.weight.factors[-1]
 
-    z = _trl_project(x, layer)                       # (S, R_1..R_N)
-    t = generalized_inner(z, core, n_in)             # (S, R_out)
-
-    g_bias = upstream.sum(axis=0)
-    g_out = upstream.T @ t                           # (d, R_out)
     a = upstream @ u_out                             # (S, R_out)
-    g_core = np.tensordot(z, a, axes=([0], [0]))     # (R_1..R_N, R_out)
     b = np.tensordot(core, a, axes=([n_in], [1]))    # (R_1..R_N, S)
     b = np.moveaxis(b, -1, 0)                        # (S, R_1..R_N)
 
+    modes = range(1, x.ndim)
     g_factors = []
+    prefix = x
     for n in range(n_in):
-        partial = x
-        for k in range(n_in):
-            if k != n:
-                partial = mode_n_product(
-                    partial, layer.weight.factors[k].T, k + 1
-                )
+        partial = multi_mode_product(
+            prefix, u_in[n + 1:], modes[n + 1:], transpose=True
+        )
         # contract everything except input mode n
         axes = [0] + [k + 1 for k in range(n_in) if k != n]
         g_factors.append(np.tensordot(partial, b, axes=(axes, axes)))
-    g_factors.append(g_out)
-    return TrlGrads(core=g_core, factors=g_factors, bias=g_bias)
+        prefix = mode_n_product(prefix, u_in[n].T, n + 1)
+    z = prefix                                       # (S, R_1..R_N)
+    t = generalized_inner(z, core, n_in)             # (S, R_out)
+
+    g_factors.append(upstream.T @ t)                 # (d, R_out)
+    g_core = np.tensordot(z, a, axes=([0], [0]))     # (R_1..R_N, R_out)
+    return TrlGrads(core=g_core, factors=g_factors, bias=upstream.sum(axis=0))
 
 
 def trl_param_count(in_dims, ranks, out_dim: int) -> int:

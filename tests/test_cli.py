@@ -136,6 +136,19 @@ def test_decompose_tt_tolerance(tmp_path, capsys, rng):
     assert float(parse_report(out)["relative_error"]) <= 0.05
 
 
+@pytest.mark.parametrize("ranks", [["--ranks", "1,2,2,1"], ["--rank", "2"]])
+def test_decompose_tt_tolerance_with_ranks_fails(tmp_path, capsys, rng, ranks):
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((4, 4, 4)))
+    code, out, err = run_cli(
+        capsys, "decompose", str(path), "--method", "tt", "--tol", "0.5",
+        *ranks, "--out", str(tmp_path / "model"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: pass either ranks or tol, not both\n"
+
+
 def test_decompose_tucker_full_ranks(tmp_path, capsys, rng):
     path = tmp_path / "x.tnsr"
     write_tnsr(path, rng.standard_normal((3, 4, 2)))

@@ -20,7 +20,8 @@ from tenkit import (
     tucker_hosvd,
     unfold,
 )
-from tenkit import linalg
+from tenkit import decomp, linalg
+from tenkit.core import frobenius, mode_n_product
 from tenkit.decomp import _solve_normal, tt_max_ranks
 from tenkit.linalg import column_signs, left_singular_basis, lstsq, svd
 
@@ -367,6 +368,62 @@ def test_mpca_core_is_projection_on_returned_factors(rng):
         )
 
 
+def _leave_one_out_sweep(x, factors, ranks):
+    # reference HOOI sweep: every partial recomputed from x, its modes
+    # multiplied in increasing order, then the core as a fresh projection
+    modes = range(len(factors))
+    for n in modes:
+        partial = x
+        for k in modes:
+            if k != n:
+                partial = mode_n_product(partial, factors[k].T, k)
+        factors[n] = left_singular_basis(unfold(partial, n), ranks[n])
+    return multi_mode_product(x, factors, transpose=True)
+
+
+@pytest.mark.parametrize(
+    "shape, ranks",
+    [((7, 6), (3, 2)), ((5, 6, 4, 3), (2, 3, 2, 2)), ((4, 5, 3, 4, 3), (2, 2, 2, 3, 2))],
+)
+def test_hooi_sweep_matches_leave_one_out_loop_bit_for_bit(rng, shape, ranks):
+    x = rng.standard_normal(shape)
+    factors = decomp._hosvd_bases(x, ranks)
+    expected = list(factors)
+    sweeps = decomp._hooi_sweeps(x, factors, ranks)
+    for _ in range(2):
+        assert np.array_equal(next(sweeps), _leave_one_out_sweep(x, expected, ranks))
+        assert all(np.array_equal(f, e) for f, e in zip(factors, expected))
+
+
+def test_mpca_matches_leave_one_out_loop_bit_for_bit(rng):
+    x = rng.standard_normal((5, 4, 6, 9))
+    ranks, opts = (2, 3, 2), DecompOptions(max_iters=4, tol=1e-300)
+    projections = decomp._hosvd_bases(x, ranks)
+    expected = [_leave_one_out_sweep(x, projections, ranks) for _ in range(4)]
+    m = mpca(x, ranks, opts)
+    assert np.array_equal(m.cores, expected[-1])
+    assert all(np.array_equal(p, e) for p, e in zip(m.projections, projections))
+    assert m.scatters == [frobenius(c) ** 2 for c in expected]
+
+
+@pytest.mark.parametrize("shape, calls", [((5, 6, 4), 6), ((5, 6, 4, 3), 10)])
+def test_hooi_sweep_mode_product_count(rng, monkeypatch, shape, calls):
+    # N(N-1)/2 products extend the partials and N the prefix
+    x = rng.standard_normal(shape)
+    ranks = (2,) * len(shape)
+    sweeps = decomp._hooi_sweeps(x, decomp._hosvd_bases(x, ranks), ranks)
+    count = []
+
+    def spy(*args):
+        count.append(1)
+        return mode_n_product(*args)
+
+    monkeypatch.setattr("tenkit.core.mode_n_product", spy)
+    monkeypatch.setattr("tenkit.decomp.mode_n_product", spy)
+    next(sweeps)
+    assert len(count) == calls
+
+
 # ---------------------------------------------------------------------------
 # Tensor-Train
 
@@ -405,6 +462,9 @@ def test_tt_infeasible_chain(rng):
     y = rng.standard_normal((2, 4, 4, 2))
     with pytest.raises(ValueError, match="infeasible"):
         tt_svd(y, ranks=(1, 1, 8, 4, 1))
+    # R_2 = 3 fits the preceding rank (4 * 3) but not the tail product 2
+    with pytest.raises(ValueError, match=r"R_2 = 3 exceeds the maximum 2 "):
+        tt_svd(rng.standard_normal((4, 3, 2)), ranks=(1, 4, 3, 1))
 
 
 def test_tt_chain_invariant_random_shapes(rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tenkit import FormatError, load_model, read_tnsr, save_model, write_tnsr
-from tenkit.decomp import KruskalTensor, TTTensor, TuckerTensor, tt_svd, tucker_hosvd
+from tenkit.decomp import KruskalTensor, TTTensor, TuckerTensor, mpca, tt_svd, tucker_hosvd
 from tenkit.io import load_manifest
 
 
@@ -228,4 +228,20 @@ def test_manifest_shape_metadata_must_match_the_arrays(tmp_path, rng, model, key
         save_model(tmp_path / "model", tucker_hosvd(rng.standard_normal((3, 4, 2)), (2, 2, 2)))
     _edit_manifest(tmp_path / "model", lambda m: m.__setitem__(key, value))
     with pytest.raises(FormatError, match=f"'{key}'.*" + re.escape(f"expected {expected}, got {value}")):
+        load_model(tmp_path / "model")
+
+
+@pytest.mark.parametrize(
+    "name, array, message",
+    [
+        ("projections_00.tnsr", np.ones(5), r"projection 0 must have 2 columns, got shape \(5,\)"),
+        ("cores.tnsr", np.ones((2, 3)), "core order 2, 2 projections"),
+        ("cores.tnsr", np.ones((2, 2, 7)), r"projection 1 must have 2 columns, got shape \(4, 3\)"),
+    ],
+    ids=["projection-not-a-matrix", "core-order", "core-mode-size"],
+)
+def test_mpca_model_with_inconsistent_arrays_is_value_error(tmp_path, rng, name, array, message):
+    save_model(tmp_path / "model", mpca(rng.standard_normal((5, 4, 7)), (2, 3)))
+    write_tnsr(tmp_path / "model" / name, array)
+    with pytest.raises(ValueError, match=message):
         load_model(tmp_path / "model")

@@ -7,6 +7,8 @@ from tenkit import (
     generalized_inner,
     kronecker,
     load_model,
+    mode_n_product,
+    multi_mode_product,
     save_model,
     tucker_hosvd,
 )
@@ -147,6 +149,40 @@ def test_trl_grad_matches_finite_differences(rng):
     ]:
         fd = central_difference(loss, param)
         assert np.linalg.norm(grad - fd) < 1e-4 * max(np.linalg.norm(fd), 1e-8)
+
+
+def _leave_one_out_trl_grad(x, layer, upstream):
+    # reference gradients: each factor's partial recomputed from x, its
+    # modes multiplied in increasing order, and z as a fresh projection
+    n_in = x.ndim - 1
+    factors, core = layer.weight.factors, layer.weight.core
+    z = multi_mode_product(x, factors[:-1], modes=range(1, x.ndim), transpose=True)
+    t = generalized_inner(z, core, n_in)
+    a = upstream @ factors[-1]
+    b = np.moveaxis(np.tensordot(core, a, axes=([n_in], [1])), -1, 0)
+    g_factors = []
+    for n in range(n_in):
+        partial = x
+        for k in range(n_in):
+            if k != n:
+                partial = mode_n_product(partial, factors[k].T, k + 1)
+        axes = [0] + [k + 1 for k in range(n_in) if k != n]
+        g_factors.append(np.tensordot(partial, b, axes=(axes, axes)))
+    g_factors.append(upstream.T @ t)
+    return np.tensordot(z, a, axes=([0], [0])), g_factors, upstream.sum(axis=0)
+
+
+@pytest.mark.parametrize("in_shape", [(6,), (5, 4), (3, 4, 2, 3)])
+def test_trl_grad_matches_leave_one_out_loop_bit_for_bit(rng, in_shape):
+    layer = random_trl(rng, in_shape=in_shape, ranks=(2,) * (len(in_shape) + 1))
+    x = rng.standard_normal((7,) + in_shape)
+    up = rng.standard_normal((7, layer.out_dim))
+    g = trl_grad(x, layer, up)
+    g_core, g_factors, g_bias = _leave_one_out_trl_grad(x, layer, up)
+    assert np.array_equal(g.core, g_core)
+    assert len(g.factors) == len(g_factors)
+    assert all(np.array_equal(f, e) for f, e in zip(g.factors, g_factors))
+    assert np.array_equal(g.bias, g_bias)
 
 
 # ---------------------------------------------------------------------------
