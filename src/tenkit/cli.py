@@ -108,7 +108,7 @@ def cmd_decompose(args) -> dict:
         report["ranks"] = ranks
         report["iterations"] = info["iterations"]
     elif args.method == "tt":
-        # --ranks wins over --rank; tt_svd refuses --tol with either
+        # tt_svd refuses --tol with --rank or --ranks
         key, ranks = ("ranks", args.ranks) if args.ranks else ("rank", args.rank)
         model = tt_svd(tensor, ranks=ranks, tol=args.tol)
         for k, v in (("tol", args.tol), (key, ranks)):
@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", required=True, choices=["cp", "tucker", "tt", "mpca"]
     )
-    p.add_argument("--rank", type=int)
-    p.add_argument("--ranks", type=_parse_ranks)
+    ranks = p.add_mutually_exclusive_group()
+    ranks.add_argument("--rank", type=int)
+    ranks.add_argument("--ranks", type=_parse_ranks)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=500)
@@ -250,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("path")
     p.add_argument("--form", required=True, choices=["cp", "tucker"])
-    p.add_argument("--rank", type=int)
-    p.add_argument("--ranks", type=_parse_ranks)
+    ranks = p.add_mutually_exclusive_group()
+    ranks.add_argument("--rank", type=int)
+    ranks.add_argument("--ranks", type=_parse_ranks)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--out", required=True)

@@ -158,6 +158,10 @@ class TTTensor:
 class DecompOptions:
     """Iteration policy shared by the alternating solvers.
 
+    CP-ALS, HOOI and MPCA run at most ``max_iters`` sweeps and stop once
+    the change over one sweep falls below ``tol``: the change in fit for
+    :func:`cp_als` and :func:`tucker_hooi`, and the change in captured
+    scatter divided by ``max(total scatter, 1)`` for :func:`mpca`.
     ``init`` and ``seed`` only affect :func:`cp_als`; the Tucker, TT and
     MPCA solvers are deterministic SVD-based procedures.
     """
@@ -199,18 +203,27 @@ def tt_to_tensor(t: TTTensor) -> np.ndarray:
 
 
 def _cp_init(x, rank, opts, rng):
-    factors = []
-    for n in range(x.ndim):
-        if opts.init == "random":
-            factors.append(rng.standard_normal((x.shape[n], rank)))
-            continue
-        mat = unfold(x, n)
-        k = min(rank, x.shape[n])
-        u = linalg.left_singular_basis(mat, k)
-        if rank > k:
-            u = np.hstack([u, rng.standard_normal((x.shape[n], rank - k))])
-        factors.append(u)
+    if opts.init == "random":
+        return [rng.standard_normal((s, rank)) for s in x.shape]
+    # HOSVD bases, each mode padded with random columns up to the rank
+    factors = _hosvd_bases(x, [min(rank, s) for s in x.shape])
+    for n, s in enumerate(x.shape):
+        if rank > s:
+            factors[n] = np.hstack([factors[n], rng.standard_normal((s, rank - s))])
     return factors
+
+
+def _iterate(sweeps, measure, opts, scale=1.0):
+    # the alternating solvers' outer loop: at most opts.max_iters sweeps,
+    # stopping once measure(state) moves by less than opts.tol * scale;
+    # range comes first in zip, so no sweep runs past the one returned
+    fits = []
+    for _, state in zip(range(opts.max_iters), sweeps):
+        fits.append(measure(state))
+        converged = len(fits) > 1 and bool(abs(fits[-1] - fits[-2]) < opts.tol * scale)
+        if converged:
+            break
+    return state, {"fits": fits, "iterations": len(fits), "converged": converged}
 
 
 def _solve_normal(gram, rhs):
@@ -226,6 +239,28 @@ def _solve_normal(gram, rhs):
     except np.linalg.LinAlgError:
         pass
     return linalg.lstsq(gram, rhs.T).T
+
+
+def _als_sweeps(x, factors, rank):
+    # CP-ALS sweeps: each refits every factor in place, with unit columns,
+    # and yields the last one's column norms as the weights
+    grams = [f.T @ f for f in factors]
+    lead, trail = range(x.ndim // 2), range(x.ndim // 2, x.ndim)
+    while True:
+        for own, other in ((lead, trail), (trail, lead)):
+            partial = mttkrp(x, {k: factors[k] for k in other})
+            for n in own:
+                if not other:  # order-1: any split of x across components
+                    factors[n] = np.tile(x[:, None], (1, rank)) / rank
+                else:
+                    rest = {k - own.start: factors[k] for k in own if k != n}
+                    gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
+                    factors[n] = _solve_normal(gram, mttkrp(partial, rest, ranked=True))
+                norms = np.linalg.norm(factors[n], axis=0)
+                safe = np.where(norms > 0, norms, 1.0)
+                factors[n] = factors[n] / safe
+                grams[n] = factors[n].T @ factors[n]
+        yield norms
 
 
 def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = False):
@@ -251,6 +286,8 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     the mode sizes themselves).
     """
     x = linalg.check_finite(x, "cp_als")
+    if x.ndim < 1:
+        raise ValueError("cp_als needs a tensor of order 1 or more")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     opts = opts or DecompOptions()
@@ -267,37 +304,15 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
         )
 
     factors = _cp_init(x, rank, opts, rng)
-    grams = [f.T @ f for f in factors]
-    weights = np.ones(rank)
     norm_x = frobenius(x)
-    fits = []
-    converged = False
-    lead, trail = range(x.ndim // 2), range(x.ndim // 2, x.ndim)
 
-    for sweep in range(opts.max_iters):
-        for own, other in ((lead, trail), (trail, lead)):
-            partial = mttkrp(x, {k: factors[k] for k in other})
-            for n in own:
-                if not other:  # order-1: any split of x across components
-                    factors[n] = np.tile(x[:, None], (1, rank)) / rank
-                else:
-                    rest = {k - own.start: factors[k] for k in own if k != n}
-                    gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
-                    factors[n] = _solve_normal(gram, mttkrp(partial, rest, ranked=True))
-                norms = np.linalg.norm(factors[n], axis=0)
-                safe = np.where(norms > 0, norms, 1.0)
-                factors[n] = factors[n] / safe
-                grams[n] = factors[n].T @ factors[n]
-                weights = norms
+    def fit(weights):
         if norm_x == 0:
-            fit = 1.0
-        else:
-            resid = frobenius(x - kruskal_to_tensor(KruskalTensor(weights, factors)))
-            fit = 1.0 - resid / norm_x
-        fits.append(fit)
-        if sweep > 0 and abs(fits[-1] - fits[-2]) < opts.tol:
-            converged = True
-            break
+            return 1.0
+        resid = frobenius(x - kruskal_to_tensor(KruskalTensor(weights, factors)))
+        return 1.0 - resid / norm_x
+
+    weights, info = _iterate(_als_sweeps(x, factors, rank), fit, opts)
 
     # flip each column of every factor but the last so its
     # largest-magnitude entry is positive; compensate in the last factor
@@ -310,12 +325,7 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     result = KruskalTensor(weights, factors)
     if not return_info:
         return result
-    info = {
-        "fits": fits,
-        "iterations": len(fits),
-        "converged": converged,
-        "over_parametrized": over,
-    }
+    info["over_parametrized"] = over
     return result, info
 
 
@@ -380,7 +390,7 @@ def tucker_hosvd(x, ranks) -> TuckerTensor:
     mode-``n`` unfolding; the core is the projection of ``x`` onto those
     bases. Factors are column-orthonormal.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.check_finite(x, "tucker_hosvd")
     ranks = _check_tucker_ranks(x.shape, ranks)
     factors = _hosvd_bases(x, ranks)
     core = multi_mode_product(x, factors, transpose=True)
@@ -402,24 +412,13 @@ def tucker_hooi(
     opts = opts or DecompOptions()
     factors = _hosvd_bases(x, ranks)
     norm_x = frobenius(x)
-    fits = []
-    converged = False
-
-    sweeps = _hooi_sweeps(x, factors, ranks)
-    for sweep, core in zip(range(opts.max_iters), sweeps):
-        fits.append(_tucker_fit(x, norm_x, core, factors))
-        if sweep > 0 and abs(fits[-1] - fits[-2]) < opts.tol:
-            converged = True
-            break
-
+    core, info = _iterate(
+        _hooi_sweeps(x, factors, ranks),
+        lambda core: _tucker_fit(x, norm_x, core, factors),
+        opts,
+    )
     result = TuckerTensor(core, factors)
-    if not return_info:
-        return result
-    return result, {
-        "fits": fits,
-        "iterations": len(fits),
-        "converged": converged,
-    }
+    return (result, info) if return_info else result
 
 
 def tt_max_ranks(shape) -> tuple:
@@ -560,20 +559,13 @@ def mpca(x, ranks, opts: DecompOptions | None = None) -> MpcaResult:
 
     projections = _hosvd_bases(x, ranks)
     total = frobenius(x) ** 2
-    scatters = []
-    sweeps = _hooi_sweeps(x, projections, ranks)
-    for sweep, cores in zip(range(opts.max_iters), sweeps):
-        scatters.append(frobenius(cores) ** 2)
-        if sweep > 0 and abs(scatters[-1] - scatters[-2]) <= opts.tol * max(
-            total, 1.0
-        ):
-            break
-    return MpcaResult(
-        projections=projections,
-        cores=cores,
-        scatters=scatters,
-        total_scatter=total,
+    cores, info = _iterate(
+        _hooi_sweeps(x, projections, ranks),
+        lambda cores: frobenius(cores) ** 2,
+        opts,
+        scale=max(total, 1.0),
     )
+    return MpcaResult(projections, cores, info["fits"], total)
 
 
 def multifactor_analysis(x, pixel_mode: int, ranks=None) -> TuckerTensor:
@@ -584,7 +576,7 @@ def multifactor_analysis(x, pixel_mode: int, ranks=None) -> TuckerTensor:
     Returns the HOSVD: a mixing core plus one orthonormal factor matrix
     per mode, truncated to ``ranks`` when given (default: full).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.check_finite(x, "multifactor_analysis")
     if not 0 <= pixel_mode < x.ndim:
         raise ValueError(
             f"pixel_mode {pixel_mode} out of range for order-{x.ndim} tensor"

@@ -70,9 +70,11 @@ _MODELS = {
         lambda m: {
             "mode_sizes": [int(p.shape[0]) for p in m.projections],
             "ranks": [int(p.shape[1]) for p in m.projections],
+            "scatters": _floats(m.scatters),
+            "total_scatter": float(m.total_scatter),
         },
         lambda a, meta: MpcaResult(
-            projections=a["projections"], cores=a["cores"]
+            a["projections"], a["cores"], meta["scatters"], meta["total_scatter"]
         ),
     ),
     KruskalConvKernel: (

@@ -4,8 +4,20 @@ These stay deliberately naive (index-map enumeration, explicit loops)
 so they are independent of the library's vectorized implementations.
 """
 
+import os
+
 import numpy as np
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(autouse=True)
+def _subprocesses_import_src(monkeypatch):
+    """Let ``python -m tenkit.cli`` subprocesses import tenkit from src/,
+    as ``pythonpath = ["src"]`` in pyproject.toml does for this process."""
+    paths = [SRC, os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
 
 
 def def1_unfold(tensor, mode):

@@ -197,6 +197,25 @@ def test_tucker_without_ranks_fails(tmp_path, capsys, rng):
         assert err == f"error: {text} --ranks or --rank\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--method", "tt", "--rank", "2", "--ranks", "1,3,3,3,1"),
+        ("decompose", "--method", "tucker", "--rank", "2", "--ranks", "2,3,3,2"),
+        ("conv-compress", "--form", "tucker", "--rank", "2", "--ranks", "2,3,3,2"),
+    ],
+    ids=["decompose-tt", "decompose-tucker", "conv-compress-tucker"],
+)
+def test_rank_and_ranks_together_usage_error(tmp_path, rng, argv):
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((3, 3, 3, 3)))
+    out = tmp_path / "model"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(path), *argv[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_decompose_unknown_method_usage_error(tmp_path, rng):
     path = tmp_path / "x.tnsr"
     write_tnsr(path, rng.standard_normal((2, 2)))

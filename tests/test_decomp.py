@@ -21,7 +21,7 @@ from tenkit import (
     unfold,
 )
 from tenkit import decomp, linalg
-from tenkit.core import frobenius, mode_n_product
+from tenkit.core import frobenius, mode_n_product, mttkrp
 from tenkit.decomp import _solve_normal, tt_max_ranks
 from tenkit.linalg import column_signs, left_singular_basis, lstsq, svd
 
@@ -425,6 +425,151 @@ def test_hooi_sweep_mode_product_count(rng, monkeypatch, shape, calls):
 
 
 # ---------------------------------------------------------------------------
+# the shared sweep loop, against the three solver loops it replaced
+
+
+def _reference_cp_init(x, rank, opts, rng):
+    factors = []
+    for n in range(x.ndim):
+        if opts.init == "random":
+            factors.append(rng.standard_normal((x.shape[n], rank)))
+            continue
+        k = min(rank, x.shape[n])
+        u = left_singular_basis(unfold(x, n), k)
+        if rank > k:
+            u = np.hstack([u, rng.standard_normal((x.shape[n], rank - k))])
+        factors.append(u)
+    return factors
+
+
+def _reference_cp_als(x, rank, opts):
+    factors = _reference_cp_init(x, rank, opts, np.random.default_rng(opts.seed))
+    grams = [f.T @ f for f in factors]
+    weights = np.ones(rank)
+    norm_x = frobenius(x)
+    fits = []
+    converged = False
+    lead, trail = range(x.ndim // 2), range(x.ndim // 2, x.ndim)
+    for sweep in range(opts.max_iters):
+        for own, other in ((lead, trail), (trail, lead)):
+            partial = mttkrp(x, {k: factors[k] for k in other})
+            for n in own:
+                if not other:
+                    factors[n] = np.tile(x[:, None], (1, rank)) / rank
+                else:
+                    rest = {k - own.start: factors[k] for k in own if k != n}
+                    gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
+                    factors[n] = _solve_normal(gram, mttkrp(partial, rest, ranked=True))
+                norms = np.linalg.norm(factors[n], axis=0)
+                factors[n] = factors[n] / np.where(norms > 0, norms, 1.0)
+                grams[n] = factors[n].T @ factors[n]
+                weights = norms
+        if norm_x == 0:
+            fit = 1.0
+        else:
+            resid = frobenius(x - KruskalTensor(weights, factors).to_tensor())
+            fit = 1.0 - resid / norm_x
+        fits.append(fit)
+        if sweep > 0 and abs(fits[-1] - fits[-2]) < opts.tol:
+            converged = True
+            break
+    total = np.ones(rank)
+    for f in factors[:-1]:
+        signs = column_signs(f)
+        f *= signs
+        total *= signs
+    factors[-1] *= total
+    over = any(rank > x.size // s for s in x.shape)
+    info = {"fits": fits, "iterations": len(fits), "converged": converged,
+            "over_parametrized": over}
+    return KruskalTensor(weights, factors), info
+
+
+def _reference_hooi(x, ranks, opts):
+    factors = decomp._hosvd_bases(x, ranks)
+    norm_x = frobenius(x)
+    fits = []
+    converged = False
+    sweeps = decomp._hooi_sweeps(x, factors, ranks)
+    for sweep, core in zip(range(opts.max_iters), sweeps):
+        fits.append(decomp._tucker_fit(x, norm_x, core, factors))
+        if sweep > 0 and abs(fits[-1] - fits[-2]) < opts.tol:
+            converged = True
+            break
+    return TuckerTensor(core, factors), {
+        "fits": fits, "iterations": len(fits), "converged": converged,
+    }
+
+
+def _reference_mpca(x, ranks, opts):
+    projections = decomp._hosvd_bases(x, ranks)
+    total = frobenius(x) ** 2
+    scatters = []
+    sweeps = decomp._hooi_sweeps(x, projections, ranks)
+    for sweep, cores in zip(range(opts.max_iters), sweeps):
+        scatters.append(frobenius(cores) ** 2)
+        if sweep > 0 and abs(scatters[-1] - scatters[-2]) <= opts.tol * max(total, 1.0):
+            break
+    return projections, cores, scatters, total
+
+
+@pytest.mark.parametrize(
+    "shape, rank", [((6,), 3), ((5, 4), 5), ((4, 5, 3), 4), ((3, 4, 2, 3), 3)]
+)
+@pytest.mark.parametrize("init", ["hosvd", "random"])
+@pytest.mark.parametrize("max_iters", [1, 2, 500])
+def test_cp_als_matches_reference_loop_bit_for_bit(rng, shape, rank, init, max_iters):
+    # each rank exceeds some mode size, so the HOSVD init draws padding
+    x = rng.standard_normal(shape)
+    opts = DecompOptions(max_iters=max_iters, init=init, seed=5)
+    init_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for got, ref in zip(
+        decomp._cp_init(x, rank, opts, init_rng), _reference_cp_init(x, rank, opts, ref_rng)
+    ):
+        assert np.array_equal(got, ref)
+    assert init_rng.random() == ref_rng.random()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        k, info = cp_als(x, rank, opts, return_info=True)
+    ref, ref_info = _reference_cp_als(x, rank, opts)
+    assert np.array_equal(k.weights, ref.weights)
+    assert all(np.array_equal(f, r) for f, r in zip(k.factors, ref.factors))
+    assert info == ref_info
+    assert type(info["converged"]) is bool
+
+
+@pytest.mark.parametrize(
+    "shape, ranks", [((6, 5, 4), (2, 3, 2)), ((5, 4, 3, 4), (2, 2, 2, 3))]
+)
+@pytest.mark.parametrize("max_iters", [1, 2, 500])
+def test_tucker_hooi_matches_reference_loop_bit_for_bit(rng, shape, ranks, max_iters):
+    x = rng.standard_normal(shape)
+    opts = DecompOptions(max_iters=max_iters)
+    t, info = tucker_hooi(x, ranks, opts, return_info=True)
+    ref, ref_info = _reference_hooi(x, ranks, opts)
+    assert np.array_equal(t.core, ref.core)
+    assert all(np.array_equal(f, r) for f, r in zip(t.factors, ref.factors))
+    assert info == ref_info
+    assert info["converged"] is (max_iters == 500)
+    assert type(info["converged"]) is bool
+
+
+@pytest.mark.parametrize(
+    "shape, ranks", [((6, 5, 9), (2, 3)), ((7, 12), (3,)), ((5, 4, 3, 8), (2, 3, 2))]
+)
+def test_mpca_matches_reference_loop_bit_for_bit(rng, shape, ranks):
+    x = 3.0 * rng.standard_normal(shape)
+    opts = DecompOptions(max_iters=200)
+    m = mpca(x, ranks, opts)
+    projections, cores, scatters, total = _reference_mpca(x, ranks, opts)
+    assert len(scatters) < opts.max_iters  # the stop fired before the cap
+    assert all(np.array_equal(p, r) for p, r in zip(m.projections, projections))
+    assert np.array_equal(m.cores, cores)
+    assert m.scatters == scatters
+    assert m.total_scatter == total
+
+
+# ---------------------------------------------------------------------------
 # Tensor-Train
 
 
@@ -579,6 +724,23 @@ def test_cp_als_random_init_rejects_nan_naming_itself():
 def test_tucker_hooi_rejects_nan_naming_itself():
     with pytest.raises(ValueError, match=r"^tucker_hooi requires finite entries \(1 of 24"):
         tucker_hooi(_tensor_with_one_nan(), (2, 2, 2))
+
+
+def test_tucker_hosvd_rejects_nan_naming_itself():
+    with pytest.raises(ValueError, match=r"^tucker_hosvd requires finite entries \(1 of 24"):
+        tucker_hosvd(_tensor_with_one_nan(), (2, 2, 2))
+
+
+def test_multifactor_analysis_rejects_nan_naming_itself():
+    with pytest.raises(
+        ValueError, match=r"^multifactor_analysis requires finite entries \(1 of 24"
+    ):
+        multifactor_analysis(_tensor_with_one_nan(), pixel_mode=2)
+
+
+def test_cp_als_rejects_order_zero():
+    with pytest.raises(ValueError, match="order 1 or more"):
+        cp_als(np.float64(3.0), 1)
 
 
 def test_mpca_rejects_nan_naming_itself():

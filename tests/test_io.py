@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tenkit import FormatError, load_model, read_tnsr, save_model, write_tnsr
-from tenkit.decomp import KruskalTensor, TTTensor, TuckerTensor, mpca, tt_svd, tucker_hosvd
+from tenkit.decomp import (
+    KruskalTensor, MpcaResult, TTTensor, TuckerTensor, mpca, tt_svd, tucker_hosvd,
+)
 from tenkit.io import load_manifest
 
 
@@ -135,6 +137,16 @@ def test_tt_manifest_roundtrip(tmp_path, rng):
     assert np.array_equal(back.to_tensor(), t.to_tensor())
 
 
+def test_mpca_manifest_roundtrip_keeps_scatter_trace(tmp_path, rng):
+    m = mpca(rng.standard_normal((5, 4, 7)), (2, 3))
+    save_model(tmp_path / "model", m)
+    back = load_model(tmp_path / "model")
+    assert isinstance(back, MpcaResult)
+    assert back.scatters == m.scatters
+    assert back.total_scatter == m.total_scatter
+    assert np.array_equal(back.cores, m.cores)
+
+
 def test_manifest_carries_metadata(tmp_path, rng):
     k = KruskalTensor(np.ones(2), [rng.standard_normal((3, 2))] * 2)
     save_model(tmp_path / "model", k)
@@ -175,6 +187,13 @@ def test_missing_meta_key_is_format_error(tmp_path, rng):
     save_model(tmp_path / "model", k)
     _edit_manifest(tmp_path / "model", lambda m: m.pop("weights"))
     with pytest.raises(FormatError, match="'weights'"):
+        load_model(tmp_path / "model")
+
+
+def test_mpca_manifest_without_scatters_is_format_error(tmp_path, rng):
+    save_model(tmp_path / "model", mpca(rng.standard_normal((5, 4, 7)), (2, 3)))
+    _edit_manifest(tmp_path / "model", lambda m: m.pop("scatters"))
+    with pytest.raises(FormatError, match="manifest lacks key 'scatters'"):
         load_model(tmp_path / "model")
 
 
