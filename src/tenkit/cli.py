@@ -87,6 +87,8 @@ def cmd_info(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    if args.tol is not None and args.method != "tt":
+        raise ValueError("--tol applies only to --method tt")
     tensor = read_tnsr(args.path)
     opts = DecompOptions(max_iters=args.max_iters, seed=args.seed)
     norm = frobenius(tensor)
@@ -120,8 +122,6 @@ def cmd_decompose(args) -> dict:
             raise ValueError("mpca needs --ranks (one per feature mode)")
         model = mpca(tensor, args.ranks, opts)
         report["ranks"] = args.ranks
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
 
     recon = (
         model.reconstruct() if args.method == "mpca" else model.to_tensor()
@@ -166,28 +166,21 @@ def cmd_rpca(args) -> dict:
 
 def cmd_conv_compress(args) -> dict:
     kernel = read_tnsr(args.path)
-    if kernel.ndim != 4:
-        raise ValueError(
-            f"conv-compress needs an order-4 kernel, got order {kernel.ndim}"
-        )
     opts = DecompOptions(max_iters=args.max_iters, seed=args.seed)
     if args.form == "cp":
         if args.rank is None:
             raise ValueError("cp form needs --rank")
-        fact, info = convfact.decompose_kernel(kernel, "cp", args.rank, opts)
+        ranks, pipeline = args.rank, convfact.kruskal_conv2d
     else:
         ranks = _tucker_ranks(args, 4, "tucker form")
-        fact, info = convfact.decompose_kernel(kernel, "tucker", ranks, opts)
+        pipeline = convfact.tucker_conv2d
+    fact, info = convfact.decompose_kernel(kernel, args.form, ranks, opts)
 
     rng = np.random.default_rng(args.seed)
     t, c, h, w = kernel.shape
     probe = rng.standard_normal((c, h + 4, w + 4))
     direct = convfact.conv2d_direct(probe, fact.reconstruct())
-    if args.form == "cp":
-        piped = convfact.kruskal_conv2d(probe, fact)
-    else:
-        piped = convfact.tucker_conv2d(probe, fact)
-    deviation = float(np.max(np.abs(direct - piped)))
+    deviation = float(np.max(np.abs(direct - pipeline(probe, fact))))
 
     save_model(args.out, fact)
     ratio = info["params_before"] / info["params_after"]

@@ -57,10 +57,6 @@ class TuckerConvKernel:
         if self.tucker.core.ndim != 4:
             raise ValueError("Tucker conv kernel needs a 4th-order core")
 
-    @property
-    def ranks(self) -> tuple:
-        return self.tucker.ranks
-
     def reconstruct(self) -> np.ndarray:
         return self.tucker.to_tensor()
 
@@ -278,27 +274,24 @@ def transduce(kernel: SeparableConvKernel, extra_factor) -> SeparableConvKernel:
 def decompose_kernel(kernel, form: str, ranks, opts: DecompOptions | None = None):
     """Factorize a 4th-order conv kernel into the requested form.
 
-    ``form`` is ``"cp"`` (rank int -> Kruskal form) or ``"tucker"``
+    ``form`` is ``"cp"`` (one int rank -> Kruskal form) or ``"tucker"``
     (4 ranks -> Tucker form). Returns ``(factorized, info)`` where
     ``info`` reports the relative reconstruction error and parameter
     counts before/after.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
-        raise ValueError("decompose_kernel expects a T x C x H x W kernel")
+        raise ValueError(
+            f"expected an order-4 T x C x H x W kernel, got order {kernel.ndim}"
+        )
     opts = opts or DecompOptions()
     if form == "cp":
-        rank = int(ranks) if np.isscalar(ranks) else int(ranks[0])
-        k = cp_als(kernel, rank, opts)
-        fact = KruskalConvKernel(
-            u_out=k.factors[0] * k.weights,
-            u_in=k.factors[1],
-            u_h=k.factors[2],
-            u_w=k.factors[3],
-        )
+        if not isinstance(ranks, (int, np.integer)):
+            raise ValueError(f"cp form takes one int rank, got {ranks!r}")
+        k = cp_als(kernel, ranks, opts)
+        fact = KruskalConvKernel(k.factors[0] * k.weights, *k.factors[1:])
     elif form == "tucker":
-        t = tucker_hooi(kernel, ranks, opts)
-        fact = TuckerConvKernel(t)
+        fact = TuckerConvKernel(tucker_hooi(kernel, ranks, opts))
     else:
         raise ValueError(f"unknown form {form!r}")
     recon = fact.reconstruct()

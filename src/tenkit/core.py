@@ -225,8 +225,9 @@ def multi_mode_product(tensor, matrices, modes=None, transpose=False) -> np.ndar
     the usual projection onto factor subspaces.
     """
     tensor = _as_tensor(tensor)
+    matrices = list(matrices)
     if modes is None:
-        modes = range(len(list(matrices)))
+        modes = range(len(matrices))
     out = tensor
     for mode, matrix in zip(modes, matrices):
         m = _as_tensor(matrix)
@@ -318,13 +319,10 @@ def frobenius(tensor) -> float:
 
 def schatten(matrix, p: float) -> float:
     """Schatten-p norm: the l_p norm of the singular values."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     matrix = _as_tensor(matrix)
     if matrix.ndim != 2:
         raise ValueError("schatten norm is defined for matrices")
-    s = linalg.svd(matrix).S
-    return float(np.sum(s**p) ** (1.0 / p))
+    return norm_lp(linalg.svd(matrix).S, p)
 
 
 def nuclear(matrix) -> float:

@@ -99,8 +99,11 @@ def read_tnsr(path) -> np.ndarray:
                 f"{8 * order} bytes of mode sizes, got {size - shape_off}"
             )
         shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
-        if any(s < 1 for s in shape):
-            raise FormatError(f"{path}: mode sizes must be positive, got {shape}")
+        if 0 in shape:
+            raise FormatError(
+                f"{path}: mode size at byte {shape_off + 8 * shape.index(0)} "
+                f"must be positive, got shape {shape}"
+            )
         expected = 8 * math.prod(shape)  # a Python int: no wrap-around
         actual = size - shape_end
         if actual == expected:

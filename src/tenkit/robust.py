@@ -42,14 +42,6 @@ class RpcaResult:
     alpha: np.ndarray
     objective_trace: list = field(default_factory=list)
 
-    @property
-    def L(self) -> np.ndarray:
-        return self.low_rank
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.sparse
-
 
 def default_lambda(shape) -> float:
     """Sparsity weight heuristic ``1 / sqrt(max mode size)``."""

@@ -149,6 +149,24 @@ def test_decompose_tt_tolerance_with_ranks_fails(tmp_path, capsys, rng, ranks):
     assert err == "error: pass either ranks or tol, not both\n"
 
 
+@pytest.mark.parametrize(
+    "method, ranks",
+    [("cp", ["--rank", "2"]), ("tucker", ["--ranks", "2,2,2"]), ("mpca", ["--ranks", "2,2"])],
+)
+def test_decompose_tol_outside_tt_fails(tmp_path, capsys, rng, method, ranks):
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((4, 4, 4)))
+    out = tmp_path / "model"
+    code, stdout, err = run_cli(
+        capsys, "decompose", str(path), "--method", method, *ranks,
+        "--tol", "0.5", "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: --tol applies only to --method tt\n"
+    assert not out.exists()
+
+
 def test_decompose_tucker_full_ranks(tmp_path, capsys, rng):
     path = tmp_path / "x.tnsr"
     write_tnsr(path, rng.standard_normal((3, 4, 2)))

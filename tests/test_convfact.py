@@ -293,6 +293,72 @@ def test_decompose_kernel_rejects_wrong_order(rng):
         decompose_kernel(rng.standard_normal((2, 2, 2, 2)), "bogus", 2)
 
 
+def test_decompose_kernel_names_the_order(rng):
+    with pytest.raises(ValueError, match="order-4 T x C x H x W kernel, got order 3"):
+        decompose_kernel(rng.standard_normal((2, 2, 2)), "tucker", (2, 2, 2))
+
+
+@pytest.mark.parametrize("ranks", [[2, 7], (2,), np.array([2])])
+def test_decompose_kernel_cp_rejects_a_rank_sequence(rng, ranks):
+    with pytest.raises(ValueError, match="cp form takes one int rank"):
+        decompose_kernel(rng.standard_normal((3, 4, 3, 3)), "cp", ranks)
+
+
+def test_decompose_kernel_cp_takes_a_numpy_int_rank(rng):
+    w = rng.standard_normal((3, 4, 3, 3))
+    fact, info = decompose_kernel(w, "cp", np.int64(2))
+    ref, ref_info = decompose_kernel(w, "cp", 2)
+    assert fact.rank == 2
+    assert np.array_equal(fact.reconstruct(), ref.reconstruct())
+    assert info == ref_info
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+@pytest.mark.parametrize(
+    "x_shape, k_shape, message",
+    [
+        ((2, 5, 5), (3, 2, 3), "kernel of order 3 does not match input of order 3"),
+        ((2, 5, 5), (3, 4, 2, 2), "kernel expects 4 input channels, got 2"),
+        ((2, 5, 5), (3, 2, 2, 6), "kernel size 6 on spatial mode 1 must be between 1 and the input extent 5"),
+    ],
+    ids=["order", "channels", "kernel-longer-than-input"],
+)
+def test_conv_nd_direct_rejects_mismatched_shapes(rng, x_shape, k_shape, message):
+    with pytest.raises(ValueError, match=message):
+        conv_nd_direct(rng.standard_normal(x_shape), rng.standard_normal(k_shape))
+
+
+def test_conv1x1_rejects_a_weight_of_the_wrong_width(rng):
+    with pytest.raises(ValueError, match=r"weight of shape \(3, 4\) does not match 2 channels"):
+        conv1x1(rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 4)))
+
+
+def test_separable_kernel_factors_must_share_the_rank(rng):
+    with pytest.raises(ValueError, match="must share the rank"):
+        SeparableConvKernel(
+            np.ones(2), rng.standard_normal((3, 2)), rng.standard_normal((4, 3)),
+            [rng.standard_normal((3, 2))],
+        )
+
+
+def test_tucker_conv_kernel_needs_a_4th_order_core(rng):
+    core = TuckerTensor(rng.standard_normal((2, 2, 2)), [np.eye(2)] * 3)
+    with pytest.raises(ValueError, match="4th-order core"):
+        TuckerConvKernel(core)
+
+
+def test_2d_pipelines_reject_a_non_3d_input(rng):
+    x = rng.standard_normal((4, 6))
+    with pytest.raises(ValueError, match="kruskal_conv2d expects a C x H x W input"):
+        kruskal_conv2d(x, random_kruskal_kernel(rng))
+    tucker = TuckerConvKernel(tucker_hosvd(rng.standard_normal((3, 4, 3, 3)), (2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="tucker_conv2d expects a C x H x W input"):
+        tucker_conv2d(x, tucker)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -21,6 +21,7 @@ from tenkit import (
     mode_n_vec_product,
     mttkrp,
     norm_l0,
+    multi_mode_product,
     norm_lp,
     nuclear,
     outer,
@@ -304,6 +305,15 @@ def test_mode_n_product_dim_mismatch(rng):
         mode_n_product(t, np.ones((2, 5)), 1)
     with pytest.raises(ValueError):
         mode_n_product(t, np.ones((2, 3)), 5)
+
+
+def test_multi_mode_product_takes_a_generator_of_matrices(rng):
+    x = rng.standard_normal((3, 4, 5))
+    fs = [rng.standard_normal((2, s)) for s in x.shape]
+    from_list = multi_mode_product(x, fs)
+    from_gen = multi_mode_product(x, (f for f in fs))
+    assert from_list.shape == (2, 2, 2)
+    assert np.array_equal(from_gen, from_list)
 
 
 def test_mode_n_vec_product_basis_selects_slice(rng):

@@ -783,3 +783,13 @@ def test_multifactor_permutation_equivariance(rng):
 def test_multifactor_pixel_mode_range(rng):
     with pytest.raises(ValueError):
         multifactor_analysis(rng.standard_normal((2, 2, 4)), pixel_mode=3)
+
+
+def test_cp_and_hooi_fit_the_zero_tensor_exactly():
+    x = np.zeros((3, 4, 5))
+    kt, cp_info = cp_als(x, 2, return_info=True)
+    tt, hooi_info = tucker_hooi(x, (2, 2, 2), return_info=True)
+    assert cp_info["fits"][-1] == 1.0
+    assert hooi_info["fits"][-1] == 1.0
+    assert np.array_equal(kt.to_tensor(), x)
+    assert np.array_equal(tt.to_tensor(), x)

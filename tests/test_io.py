@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tenkit import FormatError, load_model, read_tnsr, save_model, write_tnsr
+from tenkit.convfact import KruskalConvKernel
 from tenkit.decomp import (
     KruskalTensor, MpcaResult, TTTensor, TuckerTensor, mpca, tt_svd, tucker_hosvd,
 )
@@ -105,6 +106,27 @@ def test_tnsr_reserved_bytes(tmp_path):
     path = tmp_path / "bad.tnsr"
     path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 7, 1) + struct.pack("<Q", 1) + b"\x00" * 8)
     with pytest.raises(FormatError, match="reserved"):
+        read_tnsr(path)
+
+
+def test_tnsr_shorter_than_the_header(tmp_path):
+    path = tmp_path / "short.tnsr"
+    path.write_bytes(b"TNSR" + b"\x00" * 6)
+    with pytest.raises(FormatError, match="expected at least 16 bytes, got 10"):
+        read_tnsr(path)
+
+
+def test_tnsr_order_zero(tmp_path):
+    path = tmp_path / "bad.tnsr"
+    path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 0, 0))
+    with pytest.raises(FormatError, match="order at byte 8 must be >= 1, got 0"):
+        read_tnsr(path)
+
+
+def test_tnsr_zero_mode_size(tmp_path):
+    path = tmp_path / "bad.tnsr"
+    path.write_bytes(b"TNSR" + struct.pack("<HHQ", 1, 0, 3) + struct.pack("<3Q", 2, 0, 4))
+    with pytest.raises(FormatError, match="mode size at byte 24 must be positive"):
         read_tnsr(path)
 
 
@@ -223,6 +245,61 @@ def test_manifest_of_wrong_json_type_is_format_error(tmp_path, rng, manifest):
     save_model(tmp_path / "model", tt_svd(rng.standard_normal((3, 4, 2))))
     (tmp_path / "model" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="not a JSON object"):
+        load_model(tmp_path / "model")
+
+
+def _tt_model(tmp_path, rng):
+    save_model(tmp_path / "model", tt_svd(rng.standard_normal((3, 4, 2))))
+    return tmp_path / "model"
+
+
+def test_manifest_invalid_json_names_the_offset(tmp_path, rng):
+    model = _tt_model(tmp_path, rng)
+    (model / "manifest.json").write_text('{"format": "tt",')
+    with pytest.raises(FormatError, match=r"invalid JSON .*\(char 16\)"):
+        load_manifest(model)
+
+
+@pytest.mark.parametrize("key", ["format", "files"])
+def test_manifest_without_format_or_files_is_format_error(tmp_path, rng, key):
+    model = _tt_model(tmp_path, rng)
+    _edit_manifest(model, lambda m: m.pop(key))
+    with pytest.raises(FormatError, match=f"missing required key '{key}'"):
+        load_manifest(model)
+
+
+@pytest.mark.parametrize(
+    "manifest, what",
+    [([], "top level"), ({"format": "tt", "files": "cores_00.tnsr"}, "'files'")],
+    ids=["top-level-array", "files-string"],
+)
+def test_manifest_of_wrong_json_type_names_the_key(tmp_path, rng, manifest, what):
+    model = _tt_model(tmp_path, rng)
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"{what} is not a JSON object"):
+        load_manifest(model)
+
+
+def test_load_model_unknown_format(tmp_path, rng):
+    model = _tt_model(tmp_path, rng)
+    _edit_manifest(model, lambda m: m.__setitem__("format", "bogus"))
+    with pytest.raises(FormatError, match="unknown manifest format 'bogus'"):
+        load_model(model)
+
+
+@pytest.mark.parametrize("fmt, key", [("conv_kernel", "form"), ("layer", "layer_type")])
+def test_load_model_unknown_tag(tmp_path, rng, fmt, key):
+    model = _tt_model(tmp_path, rng)
+    _edit_manifest(model, lambda m: m.update({"format": fmt, key: "bogus"}))
+    with pytest.raises(FormatError, match=f"unknown {key} 'bogus'"):
+        load_model(model)
+
+
+def test_load_model_constructor_type_error_is_format_error(tmp_path, rng):
+    kernel = KruskalConvKernel(*[rng.standard_normal((s, 2)) for s in (3, 4, 3, 3)])
+    save_model(tmp_path / "model", kernel)
+    _edit_manifest(tmp_path / "model", lambda m: m["files"]["factors"].pop())
+    with pytest.raises(FormatError, match="missing 1 required positional argument: 'u_w'"):
         load_model(tmp_path / "model")
 
 

@@ -208,3 +208,12 @@ def test_trpca_iteration_cap_returns_best_iterate(rng):
         assert res.iterations == max_iters
         worst.append(max(res.primal_residual, res.dual_residual))
     assert all(b <= a for a, b in zip(worst, worst[1:]))
+
+
+def test_trpca_of_the_zero_tensor_is_zero():
+    x = np.zeros((3, 4, 5))
+    result = trpca(x)
+    assert np.array_equal(result.low_rank, x)
+    assert np.array_equal(result.sparse, x)
+    assert result.converged is True
+    assert result.iterations == 0
