@@ -89,8 +89,12 @@ def cmd_info(args) -> dict:
 def cmd_decompose(args) -> dict:
     if args.tol is not None and args.method != "tt":
         raise ValueError("--tol applies only to --method tt")
+    if args.max_iters is not None and args.method == "tt":
+        raise ValueError("--max-iters applies only to --method cp, tucker and mpca")
     tensor = read_tnsr(args.path)
-    opts = DecompOptions(max_iters=args.max_iters, seed=args.seed)
+    opts = DecompOptions(seed=args.seed)
+    if args.max_iters is not None:
+        opts = DecompOptions(max_iters=args.max_iters, seed=args.seed)
     norm = frobenius(tensor)
     report = {
         "command": "decompose",
@@ -224,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     ranks.add_argument("--ranks", type=_parse_ranks)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=500)
+    # unset: DecompOptions' sweep cap; tt is not iterative
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)

@@ -303,8 +303,10 @@ def norm_lp(tensor, p: float) -> float:
     """Element-wise l_p norm, ``p >= 1``."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = np.abs(_as_tensor(tensor))
-    return float(np.sum(x**p) ** (1.0 / p))
+    x = _as_tensor(tensor)
+    if p == 2:
+        return float(np.sqrt(np.vdot(x, x)))
+    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
 def norm_l0(tensor) -> int:

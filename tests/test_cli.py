@@ -167,6 +167,44 @@ def test_decompose_tol_outside_tt_fails(tmp_path, capsys, rng, method, ranks):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_iters", ["1", "500", "-5"])
+def test_decompose_max_iters_with_tt_fails(tmp_path, capsys, rng, max_iters):
+    # the check comes before the input is read: the path does not exist
+    out = tmp_path / "model"
+    code, stdout, err = run_cli(
+        capsys, "decompose", str(tmp_path / "missing.tnsr"), "--method", "tt",
+        "--rank", "2", "--max-iters", max_iters, "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: --max-iters applies only to --method cp, tucker and mpca\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method, ranks",
+    [("cp", ["--rank", "2"]), ("tucker", ["--ranks", "2,2,2"]), ("mpca", ["--ranks", "2,2"])],
+)
+def test_decompose_max_iters_defaults_to_500(tmp_path, capsys, rng, method, ranks):
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((5, 4, 6)))
+    reports = []
+    for extra in ([], ["--max-iters", "500"]):
+        code, stdout, _ = run_cli(
+            capsys, "decompose", str(path), "--method", method, *ranks,
+            *extra, "--out", str(tmp_path / "model"),
+        )
+        assert code == 0
+        reports.append(strip_wall_time(stdout))
+    assert reports[0] == reports[1]
+    code, _, err = run_cli(
+        capsys, "decompose", str(path), "--method", method, *ranks,
+        "--max-iters", "-5", "--out", str(tmp_path / "bad"),
+    )
+    assert code == 1
+    assert err == "error: max_iters must be positive\n"
+
+
 def test_decompose_tucker_full_ranks(tmp_path, capsys, rng):
     path = tmp_path / "x.tnsr"
     write_tnsr(path, rng.standard_normal((3, 4, 2)))

@@ -424,6 +424,17 @@ def test_norm_345():
     assert frobenius(np.array([3.0, 4.0])) == pytest.approx(5.0, rel=1e-15)
 
 
+def test_norm_lp_2_matches_the_power_sum(rng):
+    # p = 2 takes a dot product; it must agree with the power sum that
+    # every other p uses, on contiguous and strided inputs alike
+    x = rng.standard_normal((20, 20, 20))
+    for t in (x, x[::2, :, 1:].transpose(2, 0, 1), -x[:1]):
+        power = float(np.sum(np.abs(t) ** 2.0) ** 0.5)
+        assert norm_lp(t, 2) == pytest.approx(power, rel=1e-15)
+        assert norm_lp(t, 2.0) == norm_lp(t, 2) == frobenius(t)
+        assert norm_lp(t, 2.5) == float(np.sum(np.abs(t) ** 2.5) ** 0.4)
+
+
 def test_norm_l0_counts():
     assert norm_l0(np.array([0.0, 1.0, 0.0, 2.0])) == 2
 

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import rel_err
-from tenkit import default_lambda, trpca, unfold
-from tenkit.linalg import soft_threshold, svt
+from tenkit import default_lambda, fold, robust, trpca, unfold
+from tenkit.linalg import soft_threshold, svt, svt_with_spectrum
 
 
 def spiked_low_rank(rng, shape=(10, 10, 10), frac=0.05, magnitude=10.0):
@@ -217,3 +219,147 @@ def test_trpca_of_the_zero_tensor_is_zero():
     assert np.array_equal(result.sparse, x)
     assert result.converged is True
     assert result.iterations == 0
+
+
+def _assert_svt_mode_matches_exact(y, n, tau):
+    got, spec = robust._svt_mode(y, n, tau)
+    want, want_spec = svt_with_spectrum(unfold(y, n), tau)
+    want = fold(want, n, y.shape)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(y).max()
+    assert abs(spec.sum() - want_spec.sum()) <= 1e-13 * want_spec.sum()
+
+
+@pytest.mark.parametrize("shape", [(6, 7, 8), (10, 10, 10), (4, 3, 5, 2)])
+@pytest.mark.parametrize("frac", [0.1, 0.3, 0.6])
+def test_svt_mode_matches_exact_svt_on_every_mode(rng, shape, frac):
+    # wide and square unfoldings, and an order-4 tensor whose size-5 mode
+    # is still the short side of its 5 x 24 unfolding
+    y = rng.standard_normal(shape)
+    for n in range(y.ndim):
+        smax = np.linalg.norm(unfold(y, n), 2)
+        _assert_svt_mode_matches_exact(y, n, frac * smax)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_svt_mode_matches_exact_svt_on_planted_rank_2(rng, noise):
+    # without noise every mode is rank-deficient: ten of its twelve
+    # Gram eigenvalues are rounding, and some can be negative
+    vecs = [rng.standard_normal((12, 2)) for _ in range(3)]
+    y = np.einsum("ir,jr,kr->ijk", *vecs)
+    y += noise * rng.standard_normal(y.shape)
+    for n in range(3):
+        s = np.linalg.svd(unfold(y, n), compute_uv=False)
+        # between the planted pair and the noise, and inside the pair
+        for tau in (0.5 * s[1], 0.5 * (s[0] + s[1])):
+            _assert_svt_mode_matches_exact(y, n, tau)
+
+
+def test_svt_mode_above_the_spectrum_is_zero(rng):
+    y = rng.standard_normal((5, 6, 7))
+    for n in range(3):
+        smax = np.linalg.norm(unfold(y, n), 2)
+        got, spec = robust._svt_mode(y, n, 1.01 * smax)
+        assert np.array_equal(got, np.zeros(y.shape))
+        assert spec.sum() == 0.0
+
+
+@pytest.fixture
+def svt_calls(monkeypatch):
+    calls = []
+
+    def spy(a, tau):
+        calls.append(np.shape(a))
+        return svt_with_spectrum(a, tau)
+
+    monkeypatch.setattr(robust, "svt_with_spectrum", spy)
+    return calls
+
+
+def test_svt_mode_short_side_runs_no_svd(rng, svt_calls):
+    y = rng.standard_normal((9, 9, 9))
+    for n in range(3):
+        tau = 0.1 * np.linalg.norm(unfold(y, n), 2)
+        _assert_svt_mode_matches_exact(y, n, tau)
+    assert svt_calls == []
+
+
+def test_svt_mode_long_side_takes_the_exact_svd(rng, svt_calls):
+    # mode 0 of a 30 x 4 x 5 tensor is the long side: 30^2 > 600 entries
+    y = rng.standard_normal((30, 4, 5))
+    for n in range(3):
+        tau = 0.1 * np.linalg.norm(unfold(y, n), 2)
+        _assert_svt_mode_matches_exact(y, n, tau)
+    assert svt_calls == [(30, 20)]
+
+
+def test_svt_mode_tiny_threshold_takes_the_exact_svd(rng, svt_calls):
+    # below sqrt(eps) * sigma_max a kept singular value could sit inside
+    # the Gram's rounding, so the exact SVD runs instead
+    y = rng.standard_normal((6, 7, 8))
+    smax = np.linalg.norm(unfold(y, 0), 2)
+    tau = 0.5 * np.sqrt(np.finfo(np.float64).eps) * smax
+    _assert_svt_mode_matches_exact(y, 0, tau)
+    assert svt_calls == [(6, 56)]
+
+
+def _trpca_exact_svt_reference(x, lam, max_iters=1000, tol=1e-7):
+    # trpca's ADMM with every SVT taken by the exact SVD of the mode
+    # unfolding, as the loop ran before the Gram SVT
+    n_modes = x.ndim
+    alpha = np.full(n_modes, 1.0 / n_modes)
+    norm_x = np.linalg.norm(x)
+    rho, rho_cap = 1e-2, 1e6
+    low = np.zeros_like(x)
+    duals = np.zeros((n_modes + 1, *x.shape))
+    best = None
+    for iterations in range(1, max_iters + 1):
+        aux = [
+            fold(svt_with_spectrum(unfold(low - duals[n], n), alpha[n] / rho)[0],
+                 n, x.shape)
+            for n in range(n_modes)
+        ]
+        sparse = soft_threshold(x - low + duals[-1], lam / rho)
+        low_prev = low
+        low = (
+            sum(m + d for m, d in zip(aux, duals)) + x - sparse + duals[-1]
+        ) / (n_modes + 1)
+        gaps = [m - low for m in aux] + [x - low - sparse]
+        duals += gaps
+        primal = np.sqrt(sum(float(np.sum(g**2)) for g in gaps))
+        dual = rho * np.sqrt(n_modes + 1) * np.linalg.norm(low - low_prev)
+        if best is None or max(primal, dual) < best[0]:
+            best = (max(primal, dual), low, sparse)
+        if max(primal, dual) < tol * norm_x:
+            return iterations, True, low, sparse
+        if primal > 10 * dual and rho * 1.5 <= rho_cap:
+            rho *= 1.5
+            duals /= 1.5
+        elif dual > 10 * primal:
+            rho /= 1.5
+            duals *= 1.5
+    return iterations, False, best[1], best[2]
+
+
+def _assert_trpca_matches_exact_svt(x, lam):
+    res = trpca(x, lam=lam)
+    iterations, converged, low, sparse = _trpca_exact_svt_reference(x, lam)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert np.abs(res.low_rank - low).max() <= 1e-10 * np.abs(low).max()
+    assert np.abs(res.sparse - sparse).max() <= 1e-10 * np.abs(sparse).max()
+
+
+@pytest.mark.parametrize("shape", [(10, 10, 10), (12, 12, 12)])
+@pytest.mark.parametrize("seed", range(8))
+def test_trpca_matches_exact_svt_admm_on_planted_tensors(shape, seed):
+    rng = np.random.default_rng(seed)
+    low, spikes, _ = spiked_low_rank(rng, shape)
+    for lam in (0.5 * default_lambda(shape), default_lambda(shape)):
+        _assert_trpca_matches_exact_svt(low + spikes, lam)
+
+
+@pytest.mark.parametrize("shape", [(24, 4, 5), (6, 5, 4, 3)])
+def test_trpca_matches_exact_svt_admm_long_side_and_order_4(rng, shape):
+    # mode 0 of 24 x 4 x 5 is the long side of its unfolding
+    low = functools.reduce(np.multiply.outer, [rng.standard_normal(s) for s in shape])
+    spikes = np.where(rng.random(shape) < 0.05, 10 * np.abs(low).mean(), 0.0)
+    _assert_trpca_matches_exact_svt(low + spikes, 0.5 * default_lambda(shape))
