@@ -66,9 +66,9 @@ def unfold(tensor, mode: int) -> np.ndarray:
     """
     tensor = _as_tensor(tensor)
     _check_mode(tensor, mode)
-    return np.moveaxis(tensor, mode, 0).reshape(
-        tensor.shape[mode], -1
-    )
+    rest = tensor.shape[:mode] + tensor.shape[mode + 1 :]
+    cols = int(np.prod(rest, dtype=np.int64))  # -1 fails when I_mode is 0
+    return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], cols)
 
 
 def fold(matrix, mode: int, shape) -> np.ndarray:
@@ -203,6 +203,10 @@ def mode_n_product(tensor, matrix, mode: int) -> np.ndarray:
     ``matrix`` must have ``T.shape[mode]`` columns; mode ``mode`` of the
     result has ``matrix.shape[0]`` entries. Satisfies
     ``unfold(mode_n_product(T, M, n), n) == M @ unfold(T, n)``.
+
+    One GEMM on ``T`` viewed as ``pre x I_mode x post`` (a batched one
+    over the ``pre`` slabs for an inner mode), with no unfolding and no
+    transpose: the result is C-contiguous.
     """
     tensor, matrix = _as_tensor(tensor), _as_tensor(matrix)
     _check_mode(tensor, mode)
@@ -213,9 +217,14 @@ def mode_n_product(tensor, matrix, mode: int) -> np.ndarray:
             f"matrix has {matrix.shape[1]} columns but mode {mode} has "
             f"size {tensor.shape[mode]}"
         )
-    return np.moveaxis(
-        np.tensordot(matrix, tensor, axes=([1], [mode])), 0, mode
-    )
+    shape = tensor.shape
+    pre = int(np.prod(shape[:mode], dtype=np.int64))
+    post = int(np.prod(shape[mode + 1 :], dtype=np.int64))
+    if post == 1:
+        out = tensor.reshape(pre, shape[mode]) @ matrix.T
+    else:
+        out = matrix @ tensor.reshape(pre, shape[mode], post)
+    return out.reshape(shape[:mode] + (matrix.shape[0],) + shape[mode + 1 :])
 
 
 def multi_mode_product(tensor, matrices, modes=None, transpose=False) -> np.ndarray:

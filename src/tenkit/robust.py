@@ -164,7 +164,7 @@ def trpca(
 
         gaps = [m - low for m in aux] + [x - low - sparse]
         duals += gaps
-        primal = np.sqrt(sum(float(np.sum(g**2)) for g in gaps))
+        primal = np.sqrt(sum(float(np.vdot(g, g)) for g in gaps))
         dual = rho * np.sqrt(n_modes + 1) * frobenius(low - low_prev)
         trace.append(nuclear + lam * np.abs(sparse).sum())
 

@@ -78,6 +78,14 @@ def test_fold_roundtrip_is_exact(rng):
         assert np.array_equal(fold(unfold(t, mode), mode, t.shape), t)
 
 
+def test_unfold_zero_size_mode_has_fold_shape():
+    t = np.zeros((3, 0, 4))
+    assert unfold(t, 0).shape == (3, 0)
+    assert unfold(t, 1).shape == (0, 12)
+    for mode in range(3):
+        assert fold(unfold(t, mode), mode, t.shape).shape == t.shape
+
+
 def test_fold_example_232():
     m = np.array([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]], dtype=float)
     assert np.array_equal(fold(m, 0, (2, 3, 2)), T232)
@@ -307,6 +315,63 @@ def test_mode_n_product_dim_mismatch(rng):
         mode_n_product(t, np.ones((2, 3)), 5)
 
 
+def _tensordot_mode_product(t, m, mode):
+    """The n-mode product as ``tensordot`` followed by ``moveaxis``: a
+    reference that shares no code with the reshape-and-GEMM product."""
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [mode])), 0, mode)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5,), (4, 6), (3, 4, 5), (2, 3, 4, 5), (2, 3, 1, 4, 3)]
+)
+def test_mode_n_product_matches_tensordot_and_is_c_contiguous(rng, shape):
+    big = rng.standard_normal(tuple(2 * s for s in shape))
+    c_order = rng.standard_normal(shape)
+    layouts = {
+        "C": c_order,
+        "Fortran": np.asfortranarray(c_order),
+        "strided": big[tuple(slice(None, None, 2) for _ in shape)],
+    }
+    for mode in range(len(shape)):
+        matrices = {
+            "3 rows": rng.standard_normal((3, shape[mode])),
+            "1 row": rng.standard_normal((1, shape[mode])),
+            "transposed": rng.standard_normal((shape[mode], 3)).T,
+        }
+        for layout, t in layouts.items():
+            for kind, m in matrices.items():
+                got = mode_n_product(t, m, mode)
+                ref = _tensordot_mode_product(t, m, mode)
+                via_unfold = fold(m @ unfold(t, mode), mode, ref.shape)
+                where = f"{layout} input, {kind}, mode {mode}"
+                assert got.flags.c_contiguous, where
+                assert got.shape == ref.shape, where
+                scale = np.abs(ref).max()
+                assert np.abs(got - ref).max() <= 1e-14 * scale, where
+                assert np.abs(got - via_unfold).max() <= 1e-14 * scale, where
+
+
+@pytest.mark.parametrize(
+    "shape, mode",
+    [
+        ((0, 3, 4), 1),  # zero-size mode before the product mode
+        ((3, 0, 4), 1),  # at the product mode
+        ((3, 4, 0), 1),  # after it
+        ((0, 3), 1),
+        ((3, 0), 0),
+        ((0,), 0),
+    ],
+)
+def test_mode_n_product_zero_size_mode(shape, mode):
+    t = np.ones(shape)
+    got = mode_n_product(t, np.ones((5, shape[mode])), mode)
+    expected = shape[:mode] + (5,) + shape[mode + 1 :]
+    assert got.shape == expected
+    # an empty contraction (size 0 at the product mode) sums to zero
+    assert np.array_equal(got, np.zeros(expected))
+    assert got.flags.c_contiguous
+
+
 def test_multi_mode_product_takes_a_generator_of_matrices(rng):
     x = rng.standard_normal((3, 4, 5))
     fs = [rng.standard_normal((2, s)) for s in x.shape]
@@ -505,6 +570,22 @@ def test_prop_mode_product_unfold_consistency(t, data):
     rhs = m @ unfold(t, mode)
     bound = 1e-12 * max(np.linalg.norm(m) * np.linalg.norm(t), 1.0)
     assert np.abs(lhs - rhs).max() <= bound
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5).map(tuple), st.data())
+def test_prop_mode_product_unfold_identity_with_zero_size_modes(shape, data):
+    mode = data.draw(st.integers(0, len(shape) - 1))
+    rows = data.draw(st.integers(0, 4))
+    t = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+    m = data.draw(hnp.arrays(np.float64, (rows, shape[mode]), elements=elements))
+    got = unfold(mode_n_product(t, m, mode), mode)
+    want = m @ unfold(t, mode)
+    assert got.shape == want.shape
+    # each entry is one dot product of length I_mode, so both sides
+    # round within a few ulp of |m| @ |unfold(t)|
+    scale = np.abs(m) @ np.abs(unfold(t, mode))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 @settings(max_examples=40, deadline=None)
