@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import mode_n_product, multi_mode_product
+from .core import _correlate, mode_n_product, multi_mode_product
 from .decomp import DecompOptions, TuckerTensor, cp_als, tucker_hooi
 
 __all__ = [
@@ -155,18 +154,19 @@ def conv_nd_direct(x, kernel) -> np.ndarray:
             f"kernel expects {kernel.shape[1]} input channels, got "
             f"{x.shape[0]}"
         )
-    for i, (d, k) in enumerate(zip(x.shape[1:], kernel.shape[2:])):
+    _check_kernel_extents(x.shape[1:], kernel.shape[2:])
+    return _correlate(
+        x, kernel, range(1, x.ndim), lambda w, xs: np.tensordot(w, xs, axes=1)
+    )
+
+
+def _check_kernel_extents(dims, ks) -> None:
+    for i, (d, k) in enumerate(zip(dims, ks)):
         if not 1 <= k <= d:
             raise ValueError(
                 f"kernel size {k} on spatial mode {i} must be between 1 "
                 f"and the input extent {d}"
             )
-    extent = [d - k + 1 for d, k in zip(x.shape[1:], kernel.shape[2:])]
-    out = np.zeros((kernel.shape[0], *extent))
-    for offset in np.ndindex(*kernel.shape[2:]):
-        window = tuple(slice(o, o + e) for o, e in zip(offset, extent))
-        out += np.tensordot(kernel[(..., *offset)], x[(slice(None), *window)], axes=1)
-    return out
 
 
 def conv2d_direct(x, kernel) -> np.ndarray:
@@ -189,19 +189,6 @@ def conv1x1(x, weight) -> np.ndarray:
             f"{x.shape[0]} channels"
         )
     return mode_n_product(x, weight, 0)
-
-
-def _depthwise_conv1d(x, bank, axis: int) -> np.ndarray:
-    # per-channel valid cross-correlation along one spatial axis;
-    # channel r of x uses column r of the K x R kernel bank
-    k = bank.shape[0]
-    if k > x.shape[axis]:
-        raise ValueError(
-            f"depthwise kernel of length {k} exceeds extent "
-            f"{x.shape[axis]} on axis {axis}"
-        )
-    windows = sliding_window_view(x, k, axis=axis)
-    return np.einsum("r...k,kr->r...", windows, bank)
 
 
 def kruskal_conv2d(x, kernel: KruskalConvKernel) -> np.ndarray:
@@ -248,9 +235,12 @@ def separable_convnd(x, kernel: SeparableConvKernel) -> np.ndarray:
             f"input of order {x.ndim} needs {x.ndim - 1} spatial factors, "
             f"got {len(kernel.spatial)}"
         )
+    _check_kernel_extents(x.shape[1:], [len(bank) for bank in kernel.spatial])
     z = conv1x1(x, kernel.u_in.T)
     for i, bank in enumerate(kernel.spatial):
-        z = _depthwise_conv1d(z, bank, axis=i + 1)
+        # depthwise: column r of the K x R bank scales channel r
+        scales = bank.T.reshape(kernel.rank, *[1] * (x.ndim - 1), len(bank))
+        z = _correlate(z, scales, (i + 1,), np.multiply)
     return conv1x1(z, kernel.u_out * kernel.weights)
 
 

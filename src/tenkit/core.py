@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 
@@ -288,6 +287,20 @@ def generalized_inner(x, y, n_shared: int) -> np.ndarray:
     )
 
 
+def _correlate(x, kernel, axes, product) -> np.ndarray:
+    # valid correlation along ``axes`` with the trailing kernel modes: the
+    # sum over offsets o of product(kernel[..., o], x shifted by o), in
+    # offset order and in place after the first; callers check extents
+    ks = kernel.shape[kernel.ndim - len(axes) :]
+    window = [slice(None)] * x.ndim
+    out = 0.0
+    for offset in np.ndindex(*ks):
+        for axis, o, k in zip(axes, offset, ks):
+            window[axis] = slice(o, o + x.shape[axis] - k + 1)
+        out += product(kernel[(..., *offset)], x[tuple(window)])
+    return out
+
+
 def mode_n_conv1d(tensor, kernel, mode: int) -> np.ndarray:
     """Valid 1-D cross-correlation along one mode.
 
@@ -299,13 +312,14 @@ def mode_n_conv1d(tensor, kernel, mode: int) -> np.ndarray:
     if kernel.ndim != 1:
         raise ValueError("kernel must be a vector")
     k = kernel.shape[0]
+    if k == 0:
+        raise ValueError(f"empty kernel for mode {mode}")
     if k > tensor.shape[mode]:
         raise ValueError(
             f"kernel of length {k} longer than mode {mode} "
             f"(size {tensor.shape[mode]})"
         )
-    windows = sliding_window_view(tensor, k, axis=mode)
-    return np.tensordot(windows, kernel, axes=([-1], [0]))
+    return _correlate(tensor, kernel, (mode,), np.multiply)
 
 
 def norm_lp(tensor, p: float) -> float:

@@ -174,7 +174,7 @@ class DecompOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"unknown init {self.init!r}")
@@ -452,7 +452,7 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
     n = x.ndim
     if ranks is not None and tol is not None:
         raise ValueError("pass either ranks or tol, not both")
-    if tol is not None and tol <= 0:
+    if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     feasible = tt_max_ranks(x.shape)
     if ranks is not None:

@@ -33,6 +33,9 @@ __all__ = [
 
 # relative cutoff for treating singular values as zero in pseudo-inverses
 PINV_CUTOFF = 1e-12
+# smallest singular value, relative to the largest, that a Gram's eigenpairs
+# still resolve: sqrt(eps) = 2**-26, so its square is eps exactly
+GRAM_CUTOFF = np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def left_singular_basis(a, rank: int) -> np.ndarray:
         raise ValueError(f"rank must be in [1, {rows}], got {rank}")
     if not rank <= cols < rows:
         lam, v = np.linalg.eigh(a @ a.T)
-        if lam[-min(rank, cols)] >= np.finfo(np.float64).eps * lam[-1]:
+        if lam[-min(rank, cols)] >= GRAM_CUTOFF**2 * lam[-1]:
             u = v[:, : -rank - 1 : -1]
             return u * column_signs(u)
     if rank > cols:  # zero columns make LAPACK's thin U the completion
@@ -136,7 +139,7 @@ def left_singular_basis(a, rank: int) -> np.ndarray:
 
 def soft_threshold(x, tau: float) -> np.ndarray:
     """Element-wise shrinkage ``sign(x) * max(|x| - tau, 0)``."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
@@ -154,7 +157,7 @@ def svt(a, tau: float) -> np.ndarray:
 def svt_with_spectrum(a, tau: float) -> tuple:
     """:func:`svt` and its result's spectrum ``max(s - tau, 0)``, whose
     sum is the result's nuclear norm."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
     r = svd(a)
     s = np.maximum(r.S - tau, 0.0)

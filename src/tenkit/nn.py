@@ -477,8 +477,8 @@ def sgd_fit(model, dataset, lr: float, epochs: int):
     one mean-squared-error entry per epoch, recorded after that epoch's
     update. Deterministic: the updates are full-batch.
     """
-    if lr < 0:
-        raise ValueError(f"learning rate must be non-negative, got {lr}")
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"learning rate must be non-negative and finite, got {lr}")
     if type(model) not in _TRAINABLE:
         raise TypeError(f"cannot train a {type(model).__name__}")
     forward, grad, params, grad_arrays = _TRAINABLE[type(model)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import fold, frobenius, mode_n_product, unfold
-from .linalg import check_finite, soft_threshold, svt_with_spectrum
+from .linalg import GRAM_CUTOFF, check_finite, soft_threshold, svt_with_spectrum
 
 __all__ = ["RpcaResult", "trpca", "default_lambda"]
 
@@ -67,7 +67,7 @@ def _svt_mode(y, n: int, tau: float) -> tuple:
         others = [m for m in range(y.ndim) if m != n]
         lam, u = np.linalg.eigh(np.tensordot(y, y, axes=(others, others)))
         s = np.sqrt(np.maximum(lam, 0.0))
-        if tau >= np.sqrt(np.finfo(np.float64).eps) * s[-1]:
+        if tau >= GRAM_CUTOFF * s[-1]:
             keep = s > tau
             u, s = u[:, keep], s[keep]
             return mode_n_product(y, (u * (1.0 - tau / s)) @ u.T, n), s - tau
@@ -89,7 +89,7 @@ def trpca(
     x : array
         Input tensor; every entry must be finite.
     lam : float, optional
-        Sparsity weight; defaults to :func:`default_lambda`.
+        Positive, finite sparsity weight; defaults to :func:`default_lambda`.
     alpha : sequence, optional
         Non-negative per-mode weights summing to 1; defaults to
         ``1/N`` each.
@@ -98,7 +98,7 @@ def trpca(
         seen (lowest ``max(primal, dual)`` residual) with
         ``converged=False``.
     tol : float
-        Stop when ``max(primal, dual)`` residual drops below
+        Positive; stop when ``max(primal, dual)`` residual drops below
         ``tol * ||X||``.
 
     Each mode's SVT is taken from ``eigh`` of its mode Gram, with no
@@ -119,8 +119,10 @@ def trpca(
         raise ValueError("max_iters must be positive")
     if lam is None:
         lam = default_lambda(x.shape)
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if alpha is None:
         alpha = np.full(n_modes, 1.0 / n_modes)
     else:
@@ -130,7 +132,7 @@ def trpca(
                 f"alpha must have one weight per mode ({n_modes}), "
                 f"got shape {alpha.shape}"
             )
-        if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-9:
+        if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-9):
             raise ValueError("alpha weights must be non-negative and sum to 1")
 
     norm_x = frobenius(x)

@@ -361,6 +361,29 @@ def test_rpca_non_finite_input_exit_code(tmp_path, capsys, rng):
     assert not (tmp_path / "parts").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rpca", "--lambda", "nan"], "lambda must be positive and finite, got nan"),
+        (["rpca", "--lambda", "inf"], "lambda must be positive and finite, got inf"),
+        (["rpca", "--alpha", "nan,0.5,0.5"], "alpha weights must be non-negative and sum to 1"),
+        (["decompose", "--method", "tt", "--tol", "nan"], "tol must be positive, got nan"),
+    ],
+    ids=["rpca-lambda-nan", "rpca-lambda-inf", "rpca-alpha-nan", "tt-tol-nan"],
+)
+def test_non_finite_parameter_fails_and_names_it(tmp_path, capsys, rng, argv, message):
+    # NaN passes a check written as `value <= 0`; it used to fail deep in
+    # eigh (rpca) or give an all-ones TT chain with exit 0 (tt)
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((4, 4, 4)))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # conv-compress
 

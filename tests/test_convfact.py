@@ -2,9 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import loop_conv1d, loop_conv2d, rel_err
-from tenkit import TuckerTensor, load_model, save_model, tucker_hooi, tucker_hosvd
+from tenkit import (
+    TuckerTensor,
+    load_model,
+    multi_mode_product,
+    save_model,
+    tucker_hooi,
+    tucker_hosvd,
+)
 from tenkit.convfact import (
     KruskalConvKernel,
     SeparableConvKernel,
@@ -331,6 +339,21 @@ def test_conv_nd_direct_rejects_mismatched_shapes(rng, x_shape, k_shape, message
         conv_nd_direct(rng.standard_normal(x_shape), rng.standard_normal(k_shape))
 
 
+@pytest.mark.parametrize(
+    "ks, message",
+    [
+        ((0, 2), "kernel size 0 on spatial mode 0 must be between 1 and the input extent 3"),
+        ((2, 7), "kernel size 7 on spatial mode 1 must be between 1 and the input extent 6"),
+    ],
+    ids=["empty-bank", "bank-longer-than-input"],
+)
+def test_separable_convnd_rejects_a_bank_outside_the_input(rng, ks, message):
+    # a 0-row bank used to give an output one entry longer than the input
+    kernel = random_separable(rng, c=4, ks=ks)
+    with pytest.raises(ValueError, match=message):
+        separable_convnd(rng.standard_normal((4, 3, 6)), kernel)
+
+
 def test_conv1x1_rejects_a_weight_of_the_wrong_width(rng):
     with pytest.raises(ValueError, match=r"weight of shape \(3, 4\) does not match 2 channels"):
         conv1x1(rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 4)))
@@ -460,3 +483,51 @@ def test_conv_nd_direct_extra_memory_is_about_one_output(rng):
         tracemalloc.stop()
     # an im2col copy of the 27 windows would peak near 27 outputs
     assert peak < 5 * out_bytes
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the window kernels the pipelines used to run
+
+
+def kn2row_reference(x, kernel):
+    """Zero-initialised sum of one channel contraction per kernel offset."""
+    extent = [d - k + 1 for d, k in zip(x.shape[1:], kernel.shape[2:])]
+    out = np.zeros((kernel.shape[0], *extent))
+    for offset in np.ndindex(*kernel.shape[2:]):
+        window = tuple(slice(o, o + e) for o, e in zip(offset, extent))
+        out += np.tensordot(kernel[(..., *offset)], x[(slice(None), *window)], axes=1)
+    return out
+
+
+def separable_reference(x, kernel):
+    """Depthwise stages as an einsum over a sliding-window view."""
+    z = conv1x1(x, kernel.u_in.T)
+    for i, bank in enumerate(kernel.spatial):
+        windows = sliding_window_view(z, bank.shape[0], axis=i + 1)
+        z = np.einsum("r...k,kr->r...", windows, bank)
+    return conv1x1(z, kernel.u_out * kernel.weights)
+
+
+def test_pipelines_match_the_window_kernels_bit_for_bit(rng):
+    # the benchmark's conv_max_dev is a rounding-level figure, so a new
+    # summation order in any pipeline would move it by chance
+    w = rng.standard_normal((16, 16, 3, 3))
+    image = rng.standard_normal((16, 12, 12))
+    volume = rng.standard_normal((16, 4, 12, 12))
+    assert np.array_equal(conv_nd_direct(image, w), kn2row_reference(image, w))
+    w3 = rng.standard_normal((16, 16, 2, 3, 3))
+    assert np.array_equal(conv_nd_direct(volume, w3), kn2row_reference(volume, w3))
+
+    kru = random_kruskal_kernel(rng, dims=(16, 16, 3, 3), rank=4)
+    assert np.array_equal(kruskal_conv2d(image, kru), separable_reference(image, kru))
+    sep = transduce(
+        SeparableConvKernel(rng.uniform(0.5, 1.5, 4), kru.u_out, kru.u_in, kru.spatial),
+        kru.u_h,
+    )
+    assert np.array_equal(separable_convnd(volume, sep), separable_reference(volume, sep))
+
+    tucker = TuckerConvKernel(tucker_hosvd(w, (4, 4, 3, 3)))
+    core, (u_out, u_in, u_h, u_w) = tucker.tucker.core, tucker.tucker.factors
+    absorbed = multi_mode_product(core, (u_h, u_w), modes=(2, 3))
+    ref = conv1x1(kn2row_reference(conv1x1(image, u_in.T), absorbed), u_out)
+    assert np.array_equal(tucker_conv2d(image, tucker), ref)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import def1_unfold, loop_conv1d
+from conftest import def1_unfold, loop_conv1d, rel_err
 from tenkit import (
     cp_als,
     fold,
@@ -466,11 +466,18 @@ def test_conv1d_matches_loop_oracle(rng):
     ker = rng.standard_normal(3)
     got = mode_n_conv1d(sig.reshape(1, 5), ker, 1)
     assert np.allclose(got[0], loop_conv1d(sig, ker), atol=1e-13)
+    t = rng.standard_normal((5, 9, 7))
+    for mode in range(3):
+        ref = np.apply_along_axis(loop_conv1d, mode, t, ker)
+        assert rel_err(mode_n_conv1d(t, ker, mode), ref) <= 1e-15
 
 
 def test_conv1d_kernel_too_long(rng):
     with pytest.raises(ValueError):
         mode_n_conv1d(rng.standard_normal((2, 3)), np.ones(4), 1)
+    # an empty kernel would give an output one longer than the mode
+    with pytest.raises(ValueError, match="mode 1"):
+        mode_n_conv1d(rng.standard_normal((6, 6, 6)), np.ones(0), 1)
 
 
 # ---------------------------------------------------------------------------

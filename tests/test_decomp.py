@@ -633,6 +633,15 @@ def test_tt_rejects_both_policies(rng):
         tt_svd(rng.standard_normal((2, 2)), ranks=0)
     with pytest.raises(ValueError):
         tt_svd(rng.standard_normal((2, 2)), tol=-0.1)
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        tt_svd(rng.standard_normal((2, 2)), tol=np.nan)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+def test_decomp_options_rejects_a_tol_that_is_not_positive(tol):
+    # a NaN tol would never stop a solver before its sweep cap
+    with pytest.raises(ValueError, match="tol must be positive"):
+        DecompOptions(tol=tol)
 
 
 def test_tt_rejects_nan_with_value_error(rng):

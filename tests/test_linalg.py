@@ -119,6 +119,10 @@ def test_soft_threshold():
     assert np.array_equal(soft_threshold(x, 1.0), np.array([-2.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         soft_threshold(x, -0.1)
+    with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
+        soft_threshold(x, np.nan)
+    with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
+        svt(np.diag(x), np.nan)
 
 
 def test_soft_threshold_shrinks_support(rng):

@@ -434,6 +434,9 @@ def test_sgd_rejects_negative_lr(rng):
     layer = random_trl(rng)
     with pytest.raises(ValueError):
         sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), -0.1, 1)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate must be non-negative and finite"):
+            sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), lr, 1)
 
 
 def test_sgd_rejects_untrainable_type(rng):

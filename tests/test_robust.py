@@ -79,6 +79,15 @@ def test_trpca_parameter_validation(rng):
         trpca(x, alpha=[-0.5, 1.5])
     with pytest.raises(ValueError):
         trpca(x, alpha=[1.0])
+    # NaN fails every comparison, so each check is written to fail on it
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            trpca(x, lam=lam)
+    with pytest.raises(ValueError, match="alpha weights"):
+        trpca(x, alpha=[np.nan, 1.0])
+    for tol in (np.nan, 0.0, -1e-7):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            trpca(x, tol=tol)
 
 
 def test_trpca_rejects_non_finite_input(rng):
