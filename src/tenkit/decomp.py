@@ -172,6 +172,8 @@ class DecompOptions:
     init: str = "hosvd"
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not self.tol > 0:
@@ -213,6 +215,16 @@ def _cp_init(x, rank, opts, rng):
     return factors
 
 
+def _fit(x, norm_x, resid_sq, model):
+    # 1 - ||X - Xhat|| / ||X||; densely from the model() tensor where a
+    # resid_sq from a norm identity, below 1e-6 ||X||^2, is cancellation
+    if not norm_x:
+        return 1.0
+    if resid_sq < 1e-6 * norm_x**2:
+        return 1.0 - frobenius(x - model()) / norm_x
+    return 1.0 - np.sqrt(resid_sq) / norm_x
+
+
 def _iterate(sweeps, measure, opts, scale=1.0):
     # the alternating solvers' outer loop: at most opts.max_iters sweeps,
     # stopping once measure(state) moves by less than opts.tol * scale;
@@ -243,24 +255,26 @@ def _solve_normal(gram, rhs):
 
 def _als_sweeps(x, factors, rank):
     # CP-ALS sweeps: each refits every factor in place, with unit columns,
-    # and yields the last one's column norms as the weights
+    # and yields the last one's column norms (weights), MTTKRP and all Grams' product
     grams = [f.T @ f for f in factors]
     lead, trail = range(x.ndim // 2), range(x.ndim // 2, x.ndim)
     while True:
         for own, other in ((lead, trail), (trail, lead)):
             partial = mttkrp(x, {k: factors[k] for k in other})
             for n in own:
+                gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
                 if not other:  # order-1: any split of x across components
-                    factors[n] = np.tile(x[:, None], (1, rank)) / rank
+                    m = np.tile(x[:, None], (1, rank))
+                    factors[n] = m / rank
                 else:
                     rest = {k - own.start: factors[k] for k in own if k != n}
-                    gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
-                    factors[n] = _solve_normal(gram, mttkrp(partial, rest, ranked=True))
+                    m = mttkrp(partial, rest, ranked=True)
+                    factors[n] = _solve_normal(gram, m)
                 norms = np.linalg.norm(factors[n], axis=0)
                 safe = np.where(norms > 0, norms, 1.0)
                 factors[n] = factors[n] / safe
                 grams[n] = factors[n].T @ factors[n]
-        yield norms
+        yield norms, m, gram * grams[-1]
 
 
 def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = False):
@@ -274,10 +288,11 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     its half, so no Khatri-Rao matrix is built (Phan, Tichavsky &
     Cichocki 2013). The normal equations, from cached factor Grams, are
     solved by Cholesky, or by the pseudo-inverse when the Gram is
-    singular to ``linalg.PINV_CUTOFF``. The fit
-    ``1 - ||X - Xhat|| / ||X||`` is non-decreasing across sweeps;
-    iteration stops when its change drops below ``opts.tol`` or after
-    ``opts.max_iters`` sweeps.
+    singular to ``linalg.PINV_CUTOFF``. The fit ``1 - ||X - Xhat|| / ||X||``
+    is non-decreasing across sweeps; it comes from the last MTTKRP and the
+    Grams (Kolda & Bader 2009), and from a dense ``Xhat`` only where the
+    squared residual, below ``1e-6 ||X||^2``, cancels. Iteration stops when
+    it changes by less than ``opts.tol`` or after ``opts.max_iters`` sweeps.
 
     With ``return_info=True`` also returns a dict with the fit trace,
     iteration count, convergence flag, and an over-parametrization flag
@@ -306,13 +321,13 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     factors = _cp_init(x, rank, opts, rng)
     norm_x = frobenius(x)
 
-    def fit(weights):
-        if norm_x == 0:
-            return 1.0
-        resid = frobenius(x - kruskal_to_tensor(KruskalTensor(weights, factors)))
-        return 1.0 - resid / norm_x
+    def fit(state):
+        weights, m, gram = state
+        inner = weights @ np.einsum("ir,ir->r", m, factors[-1])
+        resid_sq = norm_x**2 - 2.0 * inner + weights @ gram @ weights
+        return _fit(x, norm_x, resid_sq, KruskalTensor(weights, factors).to_tensor)
 
-    weights, info = _iterate(_als_sweeps(x, factors, rank), fit, opts)
+    (weights, _, _), info = _iterate(_als_sweeps(x, factors, rank), fit, opts)
 
     # flip each column of every factor but the last so its
     # largest-magnitude entry is positive; compensate in the last factor
@@ -354,33 +369,27 @@ def _hosvd_bases(x, ranks):
 def _hooi_sweeps(x, factors, ranks):
     # Higher-order orthogonal iteration over the modes that ``factors``
     # covers (the leading ones); later modes are never projected. Each
-    # sweep refits every factor, in place, as the dominant subspace of
-    # ``x`` projected onto all the other factors, then yields the core.
-    # The partials come from one running prefix, in mode order: ``x``
-    # projected onto the factors refitted so far, which after the last
-    # mode is the core. Products run in increasing mode order throughout.
-    modes = range(len(factors))
+    # sweep refits, in place, every factor whose rank is below its mode
+    # size, from ``x`` projected onto the other such factors, then yields
+    # the core. A square factor keeps its HOSVD basis: it only rotates the
+    # other unfoldings (Tucker-2, Kim et al. 2016). The partials extend a
+    # prefix, projected onto every factor before the mode in mode order.
+    swept = [n for n in range(len(factors)) if ranks[n] < x.shape[n]]
     while True:
         prefix = x
-        for n in modes:
-            partial = multi_mode_product(
-                prefix, factors[n + 1:], modes[n + 1:], transpose=True
-            )
-            factors[n] = linalg.left_singular_basis(unfold(partial, n), ranks[n])
+        for n in range(len(factors)):
+            if n in swept:
+                rest = {k: factors[k].T for k in swept if k > n}
+                partial = multi_mode_product(prefix, rest.values(), rest)
+                factors[n] = linalg.left_singular_basis(unfold(partial, n), ranks[n])
             prefix = mode_n_product(prefix, factors[n].T, n)
         yield prefix
 
 
 def _tucker_fit(x, norm_x, core, factors):
-    # 1 - ||X - Xhat|| / ||X||. With orthonormal factors the residual is
-    # ||X||^2 - ||core||^2; below 1e3 eps ||X||^2 that difference is
-    # rounding noise, so the residual is then taken densely.
-    if not norm_x:
-        return 1.0
+    # with orthonormal factors the squared residual is ||X||^2 - ||core||^2
     resid_sq = norm_x**2 - frobenius(core) ** 2
-    if resid_sq < 1e3 * np.finfo(np.float64).eps * norm_x**2:
-        resid_sq = frobenius(x - multi_mode_product(core, factors)) ** 2
-    return 1.0 - np.sqrt(resid_sq) / norm_x
+    return _fit(x, norm_x, resid_sq, TuckerTensor(core, factors).to_tensor)
 
 
 def tucker_hosvd(x, ranks) -> TuckerTensor:
@@ -404,8 +413,10 @@ def tucker_hooi(
 
     Starts from the HOSVD and alternately re-optimizes each factor as
     the dominant subspace of the partially projected tensor, so the fit
-    never drops below the HOSVD fit. Stops when the fit change falls
-    below ``opts.tol`` or after ``opts.max_iters`` sweeps.
+    never drops below the HOSVD fit; a mode whose rank is its size keeps
+    its HOSVD basis (Tucker-2). The fit's squared residual is
+    ``||X||^2 - ||core||^2``, guarded as in :func:`cp_als`. Stops when the
+    fit change falls below ``opts.tol`` or after ``opts.max_iters`` sweeps.
     """
     x = linalg.check_finite(x, "tucker_hooi")
     ranks = _check_tucker_ranks(x.shape, ranks)
@@ -545,10 +556,10 @@ def mpca(x, ranks, opts: DecompOptions | None = None) -> MpcaResult:
 
     Alternately maximizes the captured scatter
     ``sum_m ||X_m x_0 U0.T ... x_{N-2} U_{N-2}.T||^2`` over
-    column-orthonormal projections, one per feature mode (the sample
-    mode is never projected). Each update takes the dominant left
-    singular subspace of the partially projected unfolding, so the
-    captured scatter is non-decreasing per sweep.
+    column-orthonormal projections, one per feature mode (the sample mode
+    is never projected). Each update of a mode below full rank takes the
+    dominant left singular subspace of the partially projected unfolding,
+    so the captured scatter is non-decreasing per sweep.
     """
     x = linalg.check_finite(x, "mpca")
     if x.ndim < 2:

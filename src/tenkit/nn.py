@@ -479,6 +479,8 @@ def sgd_fit(model, dataset, lr: float, epochs: int):
     """
     if not 0 <= lr < np.inf:
         raise ValueError(f"learning rate must be non-negative and finite, got {lr}")
+    if not isinstance(epochs, (int, np.integer)) or epochs < 0:
+        raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
     if type(model) not in _TRAINABLE:
         raise TypeError(f"cannot train a {type(model).__name__}")
     forward, grad, params, grad_arrays = _TRAINABLE[type(model)]

@@ -115,6 +115,8 @@ def trpca(
     """
     x = check_finite(x, "trpca")
     n_modes = x.ndim
+    if not isinstance(max_iters, (int, np.integer)):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if lam is None:

@@ -22,7 +22,7 @@ from tenkit import (
 )
 from tenkit import decomp, linalg
 from tenkit.core import frobenius, mode_n_product, mttkrp
-from tenkit.decomp import _solve_normal, tt_max_ranks
+from tenkit.decomp import _solve_normal, kruskal_to_tensor, tt_max_ranks
 from tenkit.linalg import column_signs, left_singular_basis, lstsq, svd
 
 
@@ -197,6 +197,52 @@ def test_cp_matches_khatri_rao_pseudo_inverse_reference(rng, shape, rank, sweeps
     assert np.abs(got.weights - ref.weights).max() <= 1e-10 * ref.weights.max()
     for a, b in zip(got.factors, ref.factors):
         assert np.abs(a - b).max() <= 1e-10
+
+
+def test_cp_gram_fit_matches_dense_fit(monkeypatch):
+    # every fit cp_als returns, from the last MTTKRP and the Grams or from
+    # the guard's dense path, is within 1e-12 of the dense fit; exact and
+    # near-exact low-rank inputs end on the dense path
+    fit, records = decomp._fit, []
+
+    def spy(x, norm_x, resid_sq, model):
+        dense_calls = []
+        got = fit(x, norm_x, resid_sq, lambda: dense_calls.append(1) or model())
+        records.append((got, 1.0 - frobenius(x - model()) / norm_x, bool(dense_calls)))
+        return got
+
+    monkeypatch.setattr(decomp, "_fit", spy)
+    opts = DecompOptions(max_iters=30, tol=1e-300)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for shape, rank in (((9, 7), 3), ((6, 7, 8), 3), ((3, 4, 5), 5), ((4, 5, 3, 4), 3)):
+            clean = random_kruskal(rng, shape, rank).to_tensor()
+            for noise in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
+                x = 10.0 ** (seed - 3) * (clean + noise * rng.standard_normal(shape))
+                records.clear()
+                _, info = cp_als(x, rank, opts, return_info=True)
+                got, dense, took_dense = map(np.array, zip(*records))
+                assert list(got) == info["fits"]
+                assert np.abs(got - dense).max() <= 1e-12, (seed, shape, noise)
+                near = (1.0 - dense) ** 2 < 1e-6  # the guard
+                assert np.array_equal(took_dense, near), (seed, shape, noise)
+                assert np.array_equal(got[near], dense[near])
+                if noise == 0.0 and rank <= min(shape):
+                    assert took_dense[-1], (seed, shape)
+
+
+def test_cp_fit_builds_no_dense_tensor_away_from_an_exact_fit(rng, monkeypatch):
+    calls = []
+
+    def spy(k):
+        calls.append(1)
+        return kruskal_to_tensor(k)
+
+    x = random_kruskal(rng, (8, 9, 7), 3).to_tensor() + 0.1 * rng.standard_normal((8, 9, 7))
+    monkeypatch.setattr(decomp, "kruskal_to_tensor", spy)
+    _, info = cp_als(x, 3, DecompOptions(max_iters=8, tol=1e-300), return_info=True)
+    assert info["iterations"] == 8 and info["fits"][-1] < 0.99
+    assert not calls
 
 
 def test_cp_singular_gram_falls_back_to_pseudo_inverse(rng, monkeypatch):
@@ -406,11 +452,19 @@ def test_mpca_matches_leave_one_out_loop_bit_for_bit(rng):
     assert m.scatters == [frobenius(c) ** 2 for c in expected]
 
 
-@pytest.mark.parametrize("shape, calls", [((5, 6, 4), 6), ((5, 6, 4, 3), 10)])
-def test_hooi_sweep_mode_product_count(rng, monkeypatch, shape, calls):
-    # N(N-1)/2 products extend the partials and N the prefix
+@pytest.mark.parametrize(
+    "shape, ranks, calls",
+    [
+        pytest.param((5, 6, 4), (2, 2, 2), 6, id="shape0-6"),
+        pytest.param((5, 6, 4, 3), (2, 2, 2, 2), 10, id="shape1-10"),
+        pytest.param((10, 8, 3, 3), (4, 2, 3, 3), 5, id="two-square-modes-5"),
+        pytest.param((5, 6, 4), (2, 6, 4), 3, id="one-swept-mode-3"),
+    ],
+)
+def test_hooi_sweep_mode_product_count(rng, monkeypatch, shape, ranks, calls):
+    # S(S-1)/2 products extend the partials of the S modes whose rank is
+    # below their size, and N the prefix
     x = rng.standard_normal(shape)
-    ranks = (2,) * len(shape)
     sweeps = decomp._hooi_sweeps(x, decomp._hosvd_bases(x, ranks), ranks)
     count = []
 
@@ -422,6 +476,64 @@ def test_hooi_sweep_mode_product_count(rng, monkeypatch, shape, calls):
     monkeypatch.setattr("tenkit.decomp.mode_n_product", spy)
     next(sweeps)
     assert len(count) == calls
+
+
+def test_hooi_sweep_refits_only_the_modes_below_full_rank(rng, monkeypatch):
+    # the scaled-down layers kernel at ranks 4,2,3,3: modes 2 and 3 keep
+    # their square HOSVD bases, so only modes 0 and 1 take a basis
+    x = rng.standard_normal((10, 8, 3, 3))
+    ranks = (4, 2, 3, 3)
+    sweeps = decomp._hooi_sweeps(x, decomp._hosvd_bases(x, ranks), ranks)
+    rows = []
+
+    def spy(a, rank):
+        rows.append((a.shape[0], rank))
+        return left_singular_basis(a, rank)
+
+    monkeypatch.setattr(linalg, "left_singular_basis", spy)
+    for _ in range(3):
+        next(sweeps)
+    assert rows == [(10, 4), (8, 2)] * 3
+
+
+def _all_modes_hooi(x, ranks, sweeps):
+    # HOOI that refits every mode, square ones included
+    factors = decomp._hosvd_bases(x, ranks)
+    for _ in range(sweeps):
+        core = _leave_one_out_sweep(x, factors, ranks)
+    return core, factors
+
+
+@pytest.mark.parametrize(
+    "shape, ranks",
+    [((12, 10, 3, 3), (4, 3, 3, 3)), ((5, 6, 4), (2, 6, 4)), ((5, 6, 4), (5, 2, 3))],
+)
+@pytest.mark.parametrize("sweeps", [1, 3, 20])
+def test_hooi_with_square_modes_matches_an_all_modes_loop(rng, shape, ranks, sweeps):
+    x = rng.standard_normal(shape)
+    t = tucker_hooi(x, ranks, DecompOptions(max_iters=sweeps, tol=1e-300))
+    core, factors = _all_modes_hooi(x, ranks, sweeps)
+    assert rel_err(t.to_tensor(), multi_mode_product(core, factors)) <= 1e-13
+    assert abs(frobenius(t.core) - frobenius(core)) <= 1e-13 * frobenius(core)
+    assert np.array_equal(t.core, multi_mode_product(x, t.factors, transpose=True))
+    for f in t.factors:
+        if f.shape[0] == f.shape[1]:
+            assert np.abs(f.T @ f - np.eye(f.shape[0])).max() <= 1e-14
+            assert np.abs(f @ f.T - np.eye(f.shape[0])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("sweeps", [1, 3, 20])
+def test_mpca_with_square_modes_matches_an_all_modes_loop(rng, sweeps):
+    x = rng.standard_normal((5, 6, 4, 9))
+    ranks = (2, 6, 4)
+    m = mpca(x, ranks, DecompOptions(max_iters=sweeps, tol=1e-300))
+    cores, projections = _all_modes_hooi(x, ranks, sweeps)
+    expected = multi_mode_product(cores, projections)
+    assert rel_err(m.reconstruct(), expected) <= 1e-13
+    assert abs(frobenius(m.cores) - frobenius(cores)) <= 1e-13 * frobenius(cores)
+    assert np.array_equal(m.cores, multi_mode_product(x, m.projections, transpose=True))
+    for p in m.projections[1:]:
+        assert np.abs(p.T @ p - np.eye(p.shape[0])).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +571,25 @@ def _reference_cp_als(x, rank, opts):
                 else:
                     rest = {k - own.start: factors[k] for k in own if k != n}
                     gram = np.prod([g for k, g in enumerate(grams) if k != n], axis=0)
-                    factors[n] = _solve_normal(gram, mttkrp(partial, rest, ranked=True))
+                    m = mttkrp(partial, rest, ranked=True)
+                    factors[n] = _solve_normal(gram, m)
                 norms = np.linalg.norm(factors[n], axis=0)
                 factors[n] = factors[n] / np.where(norms > 0, norms, 1.0)
                 grams[n] = factors[n].T @ factors[n]
                 weights = norms
+        # ||X - Xhat||^2 = ||X||^2 - 2 <X, Xhat> + ||Xhat||^2, from the last
+        # mode's MTTKRP and the Grams; densely near an exact fit
+        if x.ndim == 1:
+            m = np.tile(x[:, None], (1, rank))
+        inner = weights @ np.einsum("ir,ir->r", m, factors[-1])
+        resid_sq = norm_x**2 - 2.0 * inner + weights @ np.prod(grams, axis=0) @ weights
         if norm_x == 0:
             fit = 1.0
-        else:
+        elif resid_sq < 1e-6 * norm_x**2:
             resid = frobenius(x - KruskalTensor(weights, factors).to_tensor())
             fit = 1.0 - resid / norm_x
+        else:
+            fit = 1.0 - np.sqrt(resid_sq) / norm_x
         fits.append(fit)
         if sweep > 0 and abs(fits[-1] - fits[-2]) < opts.tol:
             converged = True
@@ -642,6 +763,14 @@ def test_decomp_options_rejects_a_tol_that_is_not_positive(tol):
     # a NaN tol would never stop a solver before its sweep cap
     with pytest.raises(ValueError, match="tol must be positive"):
         DecompOptions(tol=tol)
+
+
+@pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, "3"])
+def test_decomp_options_rejects_a_max_iters_that_is_not_an_integer(max_iters):
+    # the solvers' range(max_iters) would fail with a TypeError instead
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        DecompOptions(max_iters=max_iters)
+    assert DecompOptions(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_tt_rejects_nan_with_value_error(rng):

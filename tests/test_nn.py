@@ -439,6 +439,16 @@ def test_sgd_rejects_negative_lr(rng):
             sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), lr, 1)
 
 
+@pytest.mark.parametrize("epochs", [-1, np.nan, 2.5, 3.0])
+def test_sgd_rejects_epochs_that_are_not_a_count(rng, epochs):
+    layer = random_trl(rng)
+    data = (np.zeros((1,) + layer.in_shape), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="epochs must be a non-negative integer"):
+        sgd_fit(layer, data, 0.01, epochs)
+    _, losses = sgd_fit(layer, data, 0.01, np.int64(0))
+    assert losses == []
+
+
 def test_sgd_rejects_untrainable_type(rng):
     tcl = TclLayer([rng.standard_normal((2, 3))])
     with pytest.raises(TypeError, match="TclLayer"):

@@ -106,6 +106,13 @@ def test_trpca_rejects_non_positive_max_iters(rng):
             trpca(x, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, "3"])
+def test_trpca_rejects_a_max_iters_that_is_not_an_integer(rng, max_iters):
+    x = rng.standard_normal((4, 5, 3))
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        trpca(x, max_iters=max_iters)
+
+
 def test_trpca_objective_trace_has_one_entry_per_iteration(rng):
     low, spikes, _ = spiked_low_rank(rng)
     done = trpca(low + spikes)
