@@ -63,6 +63,14 @@ def _parse_ranks(text: str) -> list:
         ) from None
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _tucker_ranks(args, ndim: int, what: str) -> list:
     ranks = args.ranks if args.ranks else [args.rank] * ndim
     if None in ranks:
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     ranks.add_argument("--rank", type=int)
     ranks.add_argument("--ranks", type=_parse_ranks)
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     # unset: DecompOptions' sweep cap; tt is not iterative
     p.add_argument("--max-iters", type=int)
     p.add_argument("--out", required=True)
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--lambda", dest="lam", default="auto")
     p.add_argument("--alpha", type=lambda s: [float(t) for t in s.split(",")])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     ranks = p.add_mutually_exclusive_group()
     ranks.add_argument("--rank", type=int)
     ranks.add_argument("--ranks", type=_parse_ranks)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")

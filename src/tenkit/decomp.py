@@ -180,6 +180,16 @@ class DecompOptions:
             raise ValueError("tol must be positive")
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        _check_int(self.seed, "seed", least=0)
+
+
+def _check_int(value, name, least=1):
+    # an int (numpy's included) of at least ``least``: int() would truncate
+    # a 2.5 and overflow on inf
+    if not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
 
 
 def kruskal_to_tensor(k: KruskalTensor) -> np.ndarray:
@@ -235,6 +245,8 @@ def _iterate(sweeps, measure, opts, scale=1.0):
         converged = len(fits) > 1 and bool(abs(fits[-1] - fits[-2]) < opts.tol * scale)
         if converged:
             break
+    else:  # sweeps that end before the cap have nothing left to improve
+        converged = len(fits) < opts.max_iters
     return state, {"fits": fits, "iterations": len(fits), "converged": converged}
 
 
@@ -303,8 +315,9 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
     x = linalg.check_finite(x, "cp_als")
     if x.ndim < 1:
         raise ValueError("cp_als needs a tensor of order 1 or more")
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+    if not x.size:
+        raise ValueError(f"cp_als needs every mode of size 1 or more, got {x.shape}")
+    rank = _check_int(rank, "rank")
     opts = opts or DecompOptions()
     rng = np.random.default_rng(opts.seed)
 
@@ -345,13 +358,13 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
 
 
 def _check_tucker_ranks(shape, ranks):
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(_check_int(r, f"rank for mode {n}") for n, r in enumerate(ranks))
     if len(ranks) != len(shape):
         raise ValueError(
             f"need one rank per mode: shape {shape}, ranks {ranks}"
         )
     for n, (r, s) in enumerate(zip(ranks, shape)):
-        if not 1 <= r <= s:
+        if r > s:
             raise ValueError(
                 f"rank {r} out of range [1, {s}] for mode {n}"
             )
@@ -374,6 +387,7 @@ def _hooi_sweeps(x, factors, ranks):
     # the core. A square factor keeps its HOSVD basis: it only rotates the
     # other unfoldings (Tucker-2, Kim et al. 2016). The partials extend a
     # prefix, projected onto every factor before the mode in mode order.
+    # With at most one mode swept the HOSVD is optimal: one sweep, then stop.
     swept = [n for n in range(len(factors)) if ranks[n] < x.shape[n]]
     while True:
         prefix = x
@@ -384,6 +398,8 @@ def _hooi_sweeps(x, factors, ranks):
                 factors[n] = linalg.left_singular_basis(unfold(partial, n), ranks[n])
             prefix = mode_n_product(prefix, factors[n].T, n)
         yield prefix
+        if len(swept) < 2:
+            return
 
 
 def _tucker_fit(x, norm_x, core, factors):
@@ -446,21 +462,24 @@ def tt_max_ranks(shape) -> tuple:
 
 
 def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
-    """Tensor-Train decomposition by sequential truncated SVDs.
-
-    Exactly one truncation policy applies:
+    """Tensor-Train decomposition by sequential truncated SVDs: each split
+    takes its basis ``U`` from :func:`linalg.left_singular_basis` and
+    carries ``U.T @ mat`` (rows ``s_i v_i^T``) on. One policy applies:
 
     * ``ranks``: a full chain ``(R_0, ..., R_N)`` with ``R_0 = R_N = 1``
       (or a single int capping every internal rank). Requested ranks
       beyond what the chain can carry raise ``ValueError``.
     * ``tol``: relative error budget ``eps``; each of the ``N - 1``
       truncation steps keeps enough singular values that the final
-      error satisfies ``||X - Xhat|| <= eps * ||X||`` (per-step budget
-      ``eps * ||X|| / sqrt(N - 1)``).
+      error satisfies ``||X - Xhat|| <= eps * ||X||``: the energy each
+      split discards, the tail sum of its carried rows' squared norms,
+      stays within ``(eps * ||X||)**2 / (N - 1)``.
     * neither: maximal ranks, i.e. an exact representation.
     """
     x = linalg.check_finite(x, "tt_svd")
     n = x.ndim
+    if n < 1:
+        raise ValueError("tt_svd needs a tensor of order 1 or more")
     if ranks is not None and tol is not None:
         raise ValueError("pass either ranks or tol, not both")
     if tol is not None and not tol > 0:
@@ -468,11 +487,10 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
     feasible = tt_max_ranks(x.shape)
     if ranks is not None:
         if np.isscalar(ranks):
-            if int(ranks) < 1:
-                raise ValueError(f"rank cap must be positive, got {ranks}")
-            chain = tuple(min(int(ranks), f) for f in feasible)
+            cap = _check_int(ranks, "rank cap")
+            chain = tuple(min(cap, f) for f in feasible)
         else:
-            chain = tuple(int(r) for r in ranks)
+            chain = tuple(_check_int(r, f"rank R_{k}") for k, r in enumerate(ranks))
             if len(chain) != n + 1:
                 raise ValueError(
                     f"rank chain must have length {n + 1}, got {len(chain)}"
@@ -483,7 +501,7 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
             # singular values
             for k in range(1, n + 1):
                 cap = min(chain[k - 1] * x.shape[k - 1], feasible[k])
-                if not 1 <= chain[k] <= cap:
+                if chain[k] > cap:
                     raise ValueError(
                         f"infeasible rank chain: R_{k} = {chain[k]} exceeds "
                         f"the maximum {cap} for shape {x.shape} given the "
@@ -501,15 +519,14 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
     r_prev = 1
     for k in range(n - 1):
         mat = current.reshape(r_prev * x.shape[k], -1)
-        f = linalg.svd(mat)
-        if tol is not None:
-            tail = np.cumsum(f.S[::-1] ** 2)[::-1]
-            keep = int(np.sum(tail > budget_sq))
-            r = max(keep, 1)
-        else:
-            r = chain[k + 1]
-        cores.append(f.U[:, :r].reshape(r_prev, x.shape[k], r))
-        current = (f.S[:r, None] * f.V[:, :r].T)
+        r = min(mat.shape) if tol is not None else chain[k + 1]
+        u = linalg.left_singular_basis(mat, r)
+        full = u.T @ mat  # row i is s_i v_i^T
+        if tol is not None:  # tail energies: what each truncation discards
+            tail = np.cumsum(np.sum(full[::-1] ** 2, axis=1))[::-1]
+            r = max(int(np.sum(tail > budget_sq)), 1)
+        cores.append(u[:, :r].reshape(r_prev, x.shape[k], r))
+        current = full[:r]
         r_prev = r
     cores.append(current.reshape(r_prev, x.shape[-1], 1))
     return TTTensor(cores)

@@ -4,8 +4,9 @@ Thin, deterministic wrappers over LAPACK via ``numpy.linalg``, plus the
 proximal operators (soft thresholding, singular value thresholding) and
 a minimum-norm least-squares solve. ``left_singular_basis`` takes the
 leading left singular subspace from ``eigh`` of the short-side Gram
-``A @ A.T``, with the LAPACK SVD as its fallback; ``svd``, ``svt`` and
-``lstsq`` are exact LAPACK paths.
+``A @ A.T``, with the LAPACK SVD as its fallback, and gives every
+truncated basis in ``decomp``; ``svd``, ``svt`` and ``lstsq`` are exact
+LAPACK paths.
 
 Determinism: ``svd`` post-processes the LAPACK output with a fixed sign
 convention (in each column of U the largest-magnitude entry is made

@@ -280,6 +280,44 @@ def test_decompose_unknown_method_usage_error(tmp_path, rng):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--method", "cp", "--rank", "2"),
+        ("decompose", "--method", "tucker", "--ranks", "2,2,2,2"),
+        ("decompose", "--method", "tt", "--rank", "2"),
+        ("decompose", "--method", "mpca", "--ranks", "2,2,2"),
+        ("rpca",),
+        ("conv-compress", "--form", "cp", "--rank", "2"),
+    ],
+    ids=["cp", "tucker", "tt", "mpca", "rpca", "conv-compress"],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(
+    tmp_path, capsys, argv, seed
+):
+    # argparse refuses the seed before the input is read
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "x.tnsr", *argv[1:], "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+    assert not out.exists()
+
+
+def test_decompose_tucker_with_one_swept_mode_runs_one_sweep(tmp_path, capsys, rng):
+    # only mode 0 is below full rank, so the HOSVD is already optimal
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, rng.standard_normal((6, 5, 4)))
+    code, out, _ = run_cli(
+        capsys, "decompose", str(path), "--method", "tucker",
+        "--ranks", "2,5,4", "--out", str(tmp_path / "model"),
+    )
+    assert code == 0
+    assert parse_report(out)["iterations"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # rpca
 

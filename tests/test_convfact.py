@@ -321,6 +321,11 @@ def test_decompose_kernel_cp_takes_a_numpy_int_rank(rng):
     assert info == ref_info
 
 
+def test_decompose_kernel_tucker_rejects_a_fractional_rank(rng):
+    with pytest.raises(ValueError, match="rank for mode 1 must be a positive integer, got 2.5"):
+        decompose_kernel(rng.standard_normal((3, 4, 3, 3)), "tucker", (2, 2.5, 2, 2))
+
+
 # ---------------------------------------------------------------------------
 # validation
 

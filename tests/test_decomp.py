@@ -414,6 +414,34 @@ def test_mpca_core_is_projection_on_returned_factors(rng):
         )
 
 
+@pytest.mark.parametrize("ranks", [(2, 6, 4), (5, 2, 4), (5, 6, 2), (5, 6, 4)])
+def test_hooi_with_at_most_one_swept_mode_stops_after_one_sweep(rng, ranks):
+    # the HOSVD is then optimal, so a second sweep cannot move the fit
+    x = rng.standard_normal((5, 6, 4))
+    t, info = tucker_hooi(x, ranks, return_info=True)
+    assert info["iterations"] == 1
+    assert info["converged"] is True
+    again = tucker_hooi(x, ranks, DecompOptions(max_iters=2, tol=1e-300))
+    assert rel_err(t.to_tensor(), again.to_tensor()) <= 1e-13
+
+
+def test_mpca_with_one_swept_mode_stops_after_one_sweep(rng):
+    x = rng.standard_normal((5, 6, 4, 9))
+    m = mpca(x, (2, 6, 4))
+    assert len(m.scatters) == 1
+
+
+def test_hooi_sweep_cap_is_not_convergence(rng):
+    # one swept mode, but the cap of one sweep ends the loop first
+    x = rng.standard_normal((5, 6, 4))
+    _, info = tucker_hooi(x, (2, 6, 4), DecompOptions(max_iters=1), return_info=True)
+    assert (info["iterations"], info["converged"]) == (1, False)
+    # two swept modes keep sweeping until the fit settles
+    _, info = tucker_hooi(x, (2, 3, 4), return_info=True)
+    assert info["iterations"] > 1
+    assert info["converged"] is True
+
+
 def _leave_one_out_sweep(x, factors, ranks):
     # reference HOOI sweep: every partial recomputed from x, its modes
     # multiplied in increasing order, then the core as a fresh projection
@@ -718,6 +746,102 @@ def test_tt_tolerance_honored(rng):
         assert rel_err(t.to_tensor(), x) <= tol
 
 
+def _svd_tt(x, chain=None, tol=None):
+    # reference TT-SVD: one full LAPACK SVD per split, S V^T carried on
+    budget_sq = None if tol is None else (tol * frobenius(x)) ** 2 / max(x.ndim - 1, 1)
+    cores, current, r_prev = [], x, 1
+    for k in range(x.ndim - 1):
+        f = svd(current.reshape(r_prev * x.shape[k], -1))
+        if tol is not None:
+            tail = np.cumsum(f.S[::-1] ** 2)[::-1]
+            r = max(int(np.sum(tail > budget_sq)), 1)
+        else:
+            r = chain[k + 1]
+        cores.append(f.U[:, :r].reshape(r_prev, x.shape[k], r))
+        current = f.S[:r, None] * f.V[:, :r].T
+        r_prev = r
+    cores.append(current.reshape(r_prev, x.shape[-1], 1))
+    return TTTensor(cores)
+
+
+_TT_SHAPES = {2: (5, 7), 3: (4, 6, 5), 4: (3, 4, 5, 3), 5: (3, 2, 4, 3, 2)}
+
+
+def _tt_input(rng, order, kind, scale):
+    shape = _TT_SHAPES[order]
+    if kind == "gaussian":
+        return scale * rng.standard_normal(shape)
+    # exact TT-rank 2 at every internal split
+    chain = [1] + [2] * (order - 1) + [1]
+    cores = [rng.standard_normal((chain[k], s, chain[k + 1])) for k, s in enumerate(shape)]
+    return scale * TTTensor(cores).to_tensor()
+
+
+def _tt_policies(shape):
+    feasible = tt_max_ranks(shape)
+    chains = [feasible, tuple(min(2, f) for f in feasible), tuple(min(3, f) for f in feasible)]
+    return [{"tol": t} for t in (0.5, 0.2, 0.05, 1e-3, 1e-6, 1e-10)] + [
+        {"chain": c} for c in chains
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("kind", ["gaussian", "exact"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_tt_svd_matches_a_full_svd_per_split(order, kind, scale):
+    rng = np.random.default_rng([order, len(kind), int(np.log10(scale)) + 8])
+    x = _tt_input(rng, order, kind, scale)
+    for policy in _tt_policies(x.shape):
+        tol, chain = policy.get("tol"), policy.get("chain")
+        got = tt_svd(x, ranks=chain, tol=tol)
+        ref = _svd_tt(x, chain, tol)
+        assert got.ranks == ref.ranks, policy
+        assert rel_err(got.to_tensor(), ref.to_tensor()) <= 1e-12, policy
+        if tol is not None:
+            assert rel_err(got.to_tensor(), x) <= tol, policy
+
+
+def _spy_tt_splits(monkeypatch, x, **policy):
+    # (rows, cols, rank) of each left_singular_basis call and the shape of
+    # each LAPACK SVD that tt_svd runs
+    bases, svds = [], []
+    spy_basis, spy_svd = linalg.left_singular_basis, linalg.svd
+
+    def basis(a, rank):
+        bases.append((*a.shape, rank))
+        return spy_basis(a, rank)
+
+    def lapack(a):
+        svds.append(np.shape(a))
+        return spy_svd(a)
+
+    monkeypatch.setattr(linalg, "left_singular_basis", basis)
+    monkeypatch.setattr(linalg, "svd", lapack)
+    tt_svd(x, **policy)
+    return bases, svds
+
+
+@pytest.mark.parametrize("policy", [{"tol": 0.1}, {"ranks": (1, 2, 3, 1)}, {}])
+def test_tt_short_wide_splits_take_the_gram_basis_and_no_svd(rng, monkeypatch, policy):
+    # both splits (2 x 24, then at most 6 x 8) are short-wide and
+    # well conditioned
+    x = rng.standard_normal((2, 3, 8))
+    bases, svds = _spy_tt_splits(monkeypatch, x, **policy)
+    assert [b[:2] for b in bases] == [(2, 24), (bases[1][0], 8)]
+    assert bases[1][0] <= 6
+    assert svds == []
+
+
+@pytest.mark.parametrize("policy", [{"tol": 1e-6}, {}])
+def test_tt_rank_deficient_split_falls_back_to_the_svd(rng, monkeypatch, policy):
+    # TT-rank 2 at the 3 x 48 first split: a kept Gram eigenvalue is zero
+    cores = [rng.standard_normal(s) for s in ((1, 3, 2), (2, 4, 2), (2, 12, 1))]
+    x = TTTensor(cores).to_tensor()
+    bases, svds = _spy_tt_splits(monkeypatch, x, **policy)
+    assert len(bases) == 2
+    assert svds[0] == (3, 48)
+
+
 def test_tt_infeasible_chain(rng):
     x = rng.standard_normal((2, 3, 2))
     with pytest.raises(ValueError, match="infeasible"):
@@ -771,6 +895,42 @@ def test_decomp_options_rejects_a_max_iters_that_is_not_an_integer(max_iters):
     with pytest.raises(ValueError, match="max_iters must be an integer"):
         DecompOptions(max_iters=max_iters)
     assert DecompOptions(max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x: tt_svd(x, ranks=2.7), "rank cap must be a positive integer, got 2.7"),
+        (lambda x: tt_svd(x, ranks=np.inf), "rank cap must be a positive integer, got inf"),
+        (lambda x: tt_svd(x, ranks=(1, 2.5, 2, 1)), "rank R_1 must be a positive integer"),
+        (lambda x: tucker_hooi(x, (2.5, 2, 2)), "rank for mode 0 must be a positive integer"),
+        (lambda x: tucker_hosvd(x, (2, 0, 2)), "rank for mode 1 must be a positive integer"),
+        (lambda x: mpca(x, (2, 2.5)), "rank for mode 1 must be a positive integer"),
+        (lambda x: cp_als(x, 2.5), "rank must be a positive integer, got 2.5"),
+    ],
+    ids=["tt-cap", "tt-cap-inf", "tt-chain", "hooi", "hosvd-zero", "mpca", "cp"],
+)
+def test_a_rank_that_is_not_a_positive_integer_is_refused(rng, call, message):
+    # int() would truncate 2.7 to 2 and overflow on inf
+    with pytest.raises(ValueError, match=message):
+        call(rng.standard_normal((4, 5, 3)))
+
+
+def test_tt_rejects_order_zero():
+    with pytest.raises(ValueError, match="order 1 or more"):
+        tt_svd(np.float64(3.0))
+
+
+def test_cp_als_rejects_a_zero_size_tensor():
+    with pytest.raises(ValueError, match=r"every mode of size 1 or more, got \(3, 0, 2\)"):
+        cp_als(np.ones((3, 0, 2)), 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "3"])
+def test_decomp_options_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        DecompOptions(seed=seed)
+    assert DecompOptions(seed=np.int64(3)).seed == 3
 
 
 def test_tt_rejects_nan_with_value_error(rng):
