@@ -63,6 +63,26 @@ def _parse_ranks(text: str) -> list:
         ) from None
 
 
+def _lambda(text: str):
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or a number, got {text!r}"
+        ) from None
+
+
+def _alpha(text: str) -> list:
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
@@ -148,10 +168,9 @@ def cmd_decompose(args) -> dict:
 
 def cmd_rpca(args) -> dict:
     tensor = read_tnsr(args.path)
-    lam = None if args.lam == "auto" else float(args.lam)
     alpha = np.asarray(args.alpha, dtype=float) if args.alpha else None
     result = robust.trpca(
-        tensor, lam=lam, alpha=alpha, max_iters=args.max_iters
+        tensor, lam=args.lam, alpha=alpha, max_iters=args.max_iters
     )
     os.makedirs(args.out, exist_ok=True)
     write_tnsr(os.path.join(args.out, "L.tnsr"), result.low_rank)
@@ -244,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rpca", help="low-rank + sparse split")
     p.add_argument("path")
-    p.add_argument("--lambda", dest="lam", default="auto")
-    p.add_argument("--alpha", type=lambda s: [float(t) for t in s.split(",")])
+    p.add_argument("--lambda", dest="lam", type=_lambda, default="auto")
+    p.add_argument("--alpha", type=_alpha)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--out", required=True)

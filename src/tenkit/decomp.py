@@ -480,6 +480,8 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
     n = x.ndim
     if n < 1:
         raise ValueError("tt_svd needs a tensor of order 1 or more")
+    if not x.size:
+        raise ValueError(f"tt_svd needs every mode of size 1 or more, got {x.shape}")
     if ranks is not None and tol is not None:
         raise ValueError("pass either ranks or tol, not both")
     if tol is not None and not tol > 0:

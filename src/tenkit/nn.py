@@ -128,6 +128,44 @@ class TrlGrads:
     bias: np.ndarray
 
 
+def _trl_pass(x, layer: TrlLayer):
+    """One forward pass: ``(output, backward)``. ``backward(upstream)``
+    gives the :class:`TrlGrads` from the intermediates the pass kept."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != layer.in_shape:
+        raise ValueError(
+            f"input modes {x.shape[1:]} do not match layer {layer.in_shape}"
+        )
+    n_in = x.ndim - 1
+    core = layer.weight.core
+    u_in, u_out = layer.weight.factors[:-1], layer.weight.factors[-1]
+    # Input factor n's gradient needs x projected onto every other input
+    # factor: the projection keeps its prefixes x, x x_1 U_1^T, ..., z in
+    # mode order, and backward projects prefixes[n] on the factors after n.
+    prefixes = [x]
+    for n in range(n_in):
+        prefixes.append(mode_n_product(prefixes[n], u_in[n].T, n + 1))
+    z = prefixes[-1]                                 # (S, R_1..R_N)
+    t = generalized_inner(z, core, n_in)             # (S, R_out)
+
+    def backward(upstream) -> TrlGrads:
+        upstream = np.asarray(upstream, dtype=np.float64)
+        a = upstream @ u_out                             # (S, R_out)
+        b = np.moveaxis(np.tensordot(core, a, axes=([n_in], [1])), -1, 0)
+        g_factors = []
+        for n in range(n_in):
+            modes = range(n + 2, x.ndim)                 # those of u_in[n + 1:]
+            partial = multi_mode_product(prefixes[n], u_in[n + 1:], modes, transpose=True)
+            # contract everything except input mode n
+            axes = [0] + [k + 1 for k in range(n_in) if k != n]
+            g_factors.append(np.tensordot(partial, b, axes=(axes, axes)))
+        g_factors.append(upstream.T @ t)                 # (d, R_out)
+        g_core = np.tensordot(z, a, axes=([0], [0]))     # (R_1..R_N, R_out)
+        return TrlGrads(core=g_core, factors=g_factors, bias=upstream.sum(axis=0))
+
+    return t @ u_out.T + layer.bias, backward
+
+
 def trl_forward(x, layer: TrlLayer) -> np.ndarray:
     """Per-sample inner product with the low-rank weight, plus bias.
 
@@ -135,53 +173,15 @@ def trl_forward(x, layer: TrlLayer) -> np.ndarray:
     ``(S, d)``. The weight tensor is never materialized: the input is
     contracted with the factors, then with the core.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != layer.in_shape:
-        raise ValueError(
-            f"input modes {x.shape[1:]} do not match layer {layer.in_shape}"
-        )
-    z = multi_mode_product(
-        x, layer.weight.factors[:-1], modes=range(1, x.ndim), transpose=True
-    )
-    t = generalized_inner(z, layer.weight.core, x.ndim - 1)
-    return t @ layer.weight.factors[-1].T + layer.bias
+    return _trl_pass(x, layer)[0]
 
 
 def trl_grad(x, layer: TrlLayer, upstream) -> TrlGrads:
     """Analytic gradients of ``trl_forward`` for every parameter.
 
     ``upstream`` is the loss gradient at the output, shape ``(S, d)``.
-    Input factor ``n``'s gradient needs ``x`` projected onto every other
-    input factor. These partials come from one running prefix, in mode
-    order, which after the last mode is the projection of ``x``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    n_in = x.ndim - 1
-    core = layer.weight.core
-    u_in, u_out = layer.weight.factors[:-1], layer.weight.factors[-1]
-
-    a = upstream @ u_out                             # (S, R_out)
-    b = np.tensordot(core, a, axes=([n_in], [1]))    # (R_1..R_N, S)
-    b = np.moveaxis(b, -1, 0)                        # (S, R_1..R_N)
-
-    modes = range(1, x.ndim)
-    g_factors = []
-    prefix = x
-    for n in range(n_in):
-        partial = multi_mode_product(
-            prefix, u_in[n + 1:], modes[n + 1:], transpose=True
-        )
-        # contract everything except input mode n
-        axes = [0] + [k + 1 for k in range(n_in) if k != n]
-        g_factors.append(np.tensordot(partial, b, axes=(axes, axes)))
-        prefix = mode_n_product(prefix, u_in[n].T, n + 1)
-    z = prefix                                       # (S, R_1..R_N)
-    t = generalized_inner(z, core, n_in)             # (S, R_out)
-
-    g_factors.append(upstream.T @ t)                 # (d, R_out)
-    g_core = np.tensordot(z, a, axes=([0], [0]))     # (R_1..R_N, R_out)
-    return TrlGrads(core=g_core, factors=g_factors, bias=upstream.sum(axis=0))
+    return _trl_pass(x, layer)[1](upstream)
 
 
 def trl_param_count(in_dims, ranks, out_dim: int) -> int:
@@ -394,14 +394,6 @@ class PolyNet:
         return len(self.factors)
 
 
-def _polynet_states(z, net):
-    s = [z @ f for f in net.factors]
-    xs = [s[0]]
-    for n in range(1, net.order):
-        xs.append(s[n] * xs[-1] + xs[-1])
-    return s, xs
-
-
 def _check_polynet_input(z, net):
     z = np.asarray(z, dtype=np.float64)
     d = net.factors[0].shape[0]
@@ -412,12 +404,35 @@ def _check_polynet_input(z, net):
     return z
 
 
+def _polynet_pass(z, net: PolyNet):
+    """One forward pass of ``net`` on ``z``: ``(output, backward)``, as
+    :func:`_trl_pass`; ``backward`` returns a :class:`PolyNet`."""
+    z = _check_polynet_input(z, net)
+    s = [z @ f for f in net.factors]
+    xs = [s[0]]
+    for n in range(1, net.order):
+        xs.append(s[n] * xs[-1] + xs[-1])
+
+    def backward(upstream) -> PolyNet:
+        # one (d,) input is a batch of one
+        z2, up, x_last = np.atleast_2d(z, upstream, xs[-1])
+        g_mix = up.T @ x_last
+        g_bias = up.sum(axis=0)
+        g = up @ net.mix
+        g_factors = [None] * net.order
+        for n in range(net.order - 1, 0, -1):
+            g_factors[n] = z2.T @ (g * xs[n - 1])
+            g = g * s[n] + g
+        g_factors[0] = z2.T @ g
+        return PolyNet(g_factors, g_mix, g_bias)
+
+    return xs[-1] @ net.mix.T + net.bias, backward
+
+
 def polynet_forward(z, net: PolyNet) -> np.ndarray:
     """Evaluate the polynomial network at one input vector ``(d,)`` or a
     batch of them ``(S, d)``; the output is ``(o,)`` or ``(S, o)``."""
-    z = _check_polynet_input(z, net)
-    _, xs = _polynet_states(z, net)
-    return xs[-1] @ net.mix.T + net.bias
+    return _polynet_pass(z, net)[0]
 
 
 def polynet_grad(z, net: PolyNet, upstream) -> PolyNet:
@@ -429,16 +444,7 @@ def polynet_grad(z, net: PolyNet, upstream) -> PolyNet:
     """
     z = np.atleast_2d(_check_polynet_input(z, net))
     upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    s, xs = _polynet_states(z, net)
-    g_mix = upstream.T @ xs[-1]
-    g_bias = upstream.sum(axis=0)
-    g = upstream @ net.mix
-    g_factors = [None] * net.order
-    for n in range(net.order - 1, 0, -1):
-        g_factors[n] = z.T @ (g * xs[n - 1])
-        g = g * s[n] + g
-    g_factors[0] = z.T @ g
-    return PolyNet(g_factors, g_mix, g_bias)
+    return _polynet_pass(z, net)[1](upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +455,24 @@ def _polynet_arrays(net):
     return [*net.factors, net.mix, net.bias]
 
 
-# trainable type -> (forward(x, model), grad(x, model, upstream),
-# parameter arrays of a model, the same arrays of its gradient). The
-# lambdas look the functions up by module name at call time, so a
-# wrapper bound to that name later (a profiler's span) sees every call.
+# trainable type -> (pass(x, model) returning (output, backward),
+# parameter arrays of a model, the same arrays of its gradient)
 _TRAINABLE = {
     TrlLayer: (
-        lambda x, m: trl_forward(x, m),
-        lambda x, m, up: trl_grad(x, m, up),
+        _trl_pass,
         lambda m: [m.weight.core, *m.weight.factors, m.bias],
         lambda g: [g.core, *g.factors, g.bias],
     ),
-    PolyNet: (
-        lambda x, m: polynet_forward(x, m),
-        lambda x, m, up: polynet_grad(x, m, up),
-        _polynet_arrays,
-        _polynet_arrays,
-    ),
+    PolyNet: (_polynet_pass, _polynet_arrays, _polynet_arrays),
 }
 
 
 def sgd_fit(model, dataset, lr: float, epochs: int):
     """Full-batch gradient descent on mean squared error.
 
-    ``dataset`` is ``(inputs, targets)``. The input model is copied, not
-    mutated. Returns ``(trained_model, losses)`` where ``losses`` has
+    ``dataset`` is ``(inputs, targets)``, and ``targets`` must have the
+    shape of the model's output on ``inputs``. The input model is copied,
+    not mutated. Returns ``(trained_model, losses)`` where ``losses`` has
     one mean-squared-error entry per epoch, recorded after that epoch's
     update. Deterministic: the updates are full-batch.
     """
@@ -483,19 +482,24 @@ def sgd_fit(model, dataset, lr: float, epochs: int):
         raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
     if type(model) not in _TRAINABLE:
         raise TypeError(f"cannot train a {type(model).__name__}")
-    forward, grad, params, grad_arrays = _TRAINABLE[type(model)]
+    run, params, grad_arrays = _TRAINABLE[type(model)]
     inputs, targets = dataset
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     model = copy.deepcopy(model)
     losses = []
-    pred = forward(inputs, model)
+    pred, backward = run(inputs, model)
+    if pred.shape != targets.shape:
+        raise ValueError(
+            f"targets of shape {targets.shape} do not match the model's "
+            f"output shape {pred.shape}"
+        )
     for _ in range(epochs):
         err = pred - targets
-        grads = grad(inputs, model, 2.0 * err / err.size)
+        grads = backward(2.0 * err / err.size)
         for p, g in zip(params(model), grad_arrays(grads), strict=True):
             p -= lr * g
-        # the post-update prediction also starts the next epoch
-        pred = forward(inputs, model)
+        # the post-update pass also starts the next epoch
+        pred, backward = run(inputs, model)
         losses.append(float(np.mean((pred - targets) ** 2)))
     return model, losses

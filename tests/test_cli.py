@@ -422,6 +422,26 @@ def test_non_finite_parameter_fails_and_names_it(tmp_path, capsys, rng, argv, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--lambda", "abc"], "argument --lambda: must be 'auto' or a number, got 'abc'"),
+        (["--lambda", ""], "argument --lambda: must be 'auto' or a number, got ''"),
+        (["--alpha", "0.5,abc"], "argument --alpha: must be comma-separated numbers, got '0.5,abc'"),
+        (["--alpha", "0.5,,0.5"], "argument --alpha: must be comma-separated numbers, got '0.5,,0.5'"),
+    ],
+    ids=["lambda-word", "lambda-empty", "alpha-word", "alpha-empty-token"],
+)
+def test_rpca_malformed_number_is_a_usage_error(tmp_path, capsys, argv, message):
+    # argparse refuses the value before the input is read
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["rpca", "x.tnsr", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # conv-compress
 

@@ -926,6 +926,13 @@ def test_cp_als_rejects_a_zero_size_tensor():
         cp_als(np.ones((3, 0, 2)), 2)
 
 
+@pytest.mark.parametrize("policy", [{}, {"tol": 0.1}, {"ranks": 2}], ids=["maximal", "tol", "ranks"])
+def test_tt_rejects_a_zero_size_tensor(policy):
+    # the first split used to fail in numpy's reshape of a size-0 array
+    with pytest.raises(ValueError, match=r"every mode of size 1 or more, got \(0, 3\)"):
+        tt_svd(np.ones((0, 3)), **policy)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "3"])
 def test_decomp_options_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):

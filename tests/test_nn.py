@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from tenkit import (
     save_model,
     tucker_hosvd,
 )
+from tenkit import nn
 from tenkit.decomp import KruskalTensor
 from tenkit.nn import (
     PolyNet,
@@ -115,6 +118,12 @@ def test_trl_param_count_matches_array_sizes(rng):
     n = trl_param_count(layer.in_shape, layer.weight.ranks, layer.out_dim)
     actual = layer.weight.core.size + sum(f.size for f in layer.weight.factors)
     assert n == actual
+
+
+def test_trl_grad_rejects_mismatched_input(rng):
+    layer = random_trl(rng)
+    with pytest.raises(ValueError, match=r"input modes \(3, 4, 4\) do not match layer \(3, 4, 5\)"):
+        trl_grad(np.zeros((2, 3, 4, 4)), layer, np.zeros((2, layer.out_dim)))
 
 
 def test_trl_grad_zero_upstream(rng):
@@ -453,6 +462,115 @@ def test_sgd_rejects_untrainable_type(rng):
     tcl = TclLayer([rng.standard_normal((2, 3))])
     with pytest.raises(TypeError, match="TclLayer"):
         sgd_fit(tcl, (np.zeros((1, 3)), np.zeros((1, 2))), 0.1, 1)
+
+
+def _arrays(m):
+    # the parameter arrays of a model or of its gradient
+    if isinstance(m, TrlLayer):
+        return [m.weight.core, *m.weight.factors, m.bias]
+    if isinstance(m, PolyNet):
+        return [*m.factors, m.mix, m.bias]
+    return [m.core, *m.factors, m.bias]
+
+
+def _forward_then_grad_fit(model, dataset, lr, epochs):
+    # the trainer as a forward pass plus a gradient that recomputes it
+    if isinstance(model, TrlLayer):
+        forward, grad = trl_forward, trl_grad
+    else:
+        forward, grad = polynet_forward, polynet_grad
+    inputs, targets = dataset
+    model = copy.deepcopy(model)
+    losses = []
+    pred = forward(inputs, model)
+    for _ in range(epochs):
+        err = pred - targets
+        grads = grad(inputs, model, 2.0 * err / err.size)
+        for p, g in zip(_arrays(model), _arrays(grads), strict=True):
+            p -= lr * g
+        pred = forward(inputs, model)
+        losses.append(float(np.mean((pred - targets) ** 2)))
+    return model, losses
+
+
+def _small_trl(rng, in_shape):
+    layer = random_trl(rng, in_shape=in_shape, ranks=(2,) * (len(in_shape) + 1))
+    for f in layer.weight.factors:
+        f /= np.sqrt(f.shape[0])
+    return layer
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _small_trl(rng, (6,)),
+        lambda rng: _small_trl(rng, (5, 4)),
+        lambda rng: _small_trl(rng, (3, 4, 5)),
+        lambda rng: random_polynet(rng, order=1),
+        lambda rng: random_polynet(rng, order=2),
+        lambda rng: random_polynet(rng, order=3),
+    ],
+    ids=["trl-1", "trl-2", "trl-3", "polynet-1", "polynet-2", "polynet-3"],
+)
+def test_sgd_fit_matches_forward_then_grad_bit_for_bit(rng, make):
+    model = make(rng)
+    trl = isinstance(model, TrlLayer)
+    x = rng.standard_normal((9, *(model.in_shape if trl else (4,)))) * 0.5
+    y = rng.standard_normal((9, model.out_dim if trl else 2))
+    trained, losses = sgd_fit(model, (x, y), lr=0.01, epochs=6)
+    ref, ref_losses = _forward_then_grad_fit(model, (x, y), 0.01, 6)
+    assert np.array_equal(losses, ref_losses)
+    assert losses[-1] < losses[0]
+    got, want = _arrays(trained), _arrays(ref)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, r) for a, r in zip(got, want))
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 4])
+def test_sgd_fit_runs_one_trl_pass_per_epoch(rng, monkeypatch, epochs):
+    # each pass contracts the projected input with the core exactly once
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return generalized_inner(*args)
+
+    monkeypatch.setattr(nn, "generalized_inner", counting)
+    layer = _small_trl(rng, (3, 4, 5))
+    x = rng.standard_normal((6,) + layer.in_shape)
+    sgd_fit(layer, (x, rng.standard_normal((6, layer.out_dim))), 0.01, epochs)
+    assert len(calls) == epochs + 1
+
+
+@pytest.mark.parametrize(
+    "model, targets, message",
+    [
+        ("trl", (8, 1), r"targets of shape \(8, 1\) do not match the model's output shape \(8, 5\)"),
+        ("trl", (1, 5), r"targets of shape \(1, 5\) do not match the model's output shape \(8, 5\)"),
+        ("polynet", (8,), r"targets of shape \(8,\) do not match the model's output shape \(8, 1\)"),
+    ],
+    ids=["trl-one-column", "trl-one-row", "polynet-flat"],
+)
+def test_sgd_rejects_targets_of_another_shape(rng, model, targets, message):
+    # such targets used to broadcast against the prediction and train
+    if model == "trl":
+        model = random_trl(rng, out_dim=5)
+        x = rng.standard_normal((8,) + model.in_shape)
+    else:
+        model = random_polynet(rng, o=1)
+        x = rng.standard_normal((8, 4))
+    with pytest.raises(ValueError, match=message):
+        sgd_fit(model, (x, np.zeros(targets)), 0.01, 2)
+
+
+def test_sgd_fits_one_polynet_sample_as_a_batch_of_one(rng):
+    net = random_polynet(rng)
+    z, y = rng.standard_normal(4), rng.standard_normal(2)
+    trained, losses = sgd_fit(net, (z, y), 0.05, 5)
+    batched, batched_losses = sgd_fit(net, (z[None], y[None]), 0.05, 5)
+    assert np.allclose(losses, batched_losses, rtol=1e-12, atol=0)
+    assert np.allclose(trained.mix, batched.mix, rtol=1e-12, atol=0)
+    assert all(np.allclose(f, g, rtol=1e-12, atol=0) for f, g in zip(trained.factors, batched.factors))
 
 
 # ---------------------------------------------------------------------------
