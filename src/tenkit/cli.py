@@ -54,13 +54,20 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}={value}")
 
 
-def _parse_ranks(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"ranks must be comma-separated integers, got {text!r}"
-        ) from None
+def _comma_list(kind, what: str):
+    """argparse type for a comma-separated list of ``kind``."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}") from None
+
+    return parse
+
+
+_parse_ranks = _comma_list(int, "ranks must be comma-separated integers")
+_alpha = _comma_list(float, "must be comma-separated numbers")
 
 
 def _lambda(text: str):
@@ -71,15 +78,6 @@ def _lambda(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be 'auto' or a number, got {text!r}"
-        ) from None
-
-
-def _alpha(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated numbers, got {text!r}"
         ) from None
 
 

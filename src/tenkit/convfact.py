@@ -84,6 +84,8 @@ class SeparableConvKernel:
         self.u_out = np.asarray(self.u_out, dtype=np.float64)
         self.u_in = np.asarray(self.u_in, dtype=np.float64)
         self.spatial = [np.asarray(m, dtype=np.float64) for m in self.spatial]
+        if self.weights.ndim != 1:
+            raise ValueError("weights must be a vector")
         r = self.weights.shape[0]
         mats = [self.u_out, self.u_in, *self.spatial]
         if any(m.ndim != 2 or m.shape[1] != r for m in mats):

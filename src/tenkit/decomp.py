@@ -8,6 +8,7 @@ iteration policy); random initialization flows from an explicit
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -565,6 +566,16 @@ class MpcaResult:
                     f"projection {n} must have {self.cores.shape[n]} "
                     f"columns, got shape {p.shape}"
                 )
+        if not isinstance(self.total_scatter, numbers.Real):
+            raise ValueError(
+                f"total_scatter must be a number, got {self.total_scatter!r}"
+            )
+        if not isinstance(self.scatters, list) or not all(
+            isinstance(s, numbers.Real) for s in self.scatters
+        ):
+            raise ValueError(
+                f"scatters must be a list of numbers, got {self.scatters!r}"
+            )
 
     def reconstruct(self) -> np.ndarray:
         return multi_mode_product(self.cores, self.projections)

@@ -158,7 +158,10 @@ def _entry_path(directory, mpath, fname):
         os.path.basename(fname) != fname
     ):
         raise FormatError(f"{mpath}: file entry {fname!r} is not a plain file name")
-    return os.path.join(directory, fname)
+    path = os.path.join(directory, fname)
+    if not os.path.isfile(path):
+        raise FormatError(f"{mpath}: file entry {fname!r} names no file")
+    return path
 
 
 def load_manifest(directory) -> tuple[str, dict, dict]:

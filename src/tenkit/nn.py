@@ -267,8 +267,11 @@ class TTLinearLayer:
     cores: TTTensor
 
     def __post_init__(self):
-        self.in_shape = tuple(int(s) for s in self.in_shape)
-        self.out_shape = tuple(int(s) for s in self.out_shape)
+        for name in ("in_shape", "out_shape"):
+            shape = tuple(getattr(self, name))
+            if not all(isinstance(s, (int, np.integer)) and s > 0 for s in shape):
+                raise ValueError(f"{name} must hold positive integers, got {shape}")
+            setattr(self, name, tuple(int(s) for s in shape))
         if len(self.in_shape) != len(self.out_shape):
             raise ValueError(
                 "in_shape and out_shape must have the same length"
@@ -380,10 +383,10 @@ class PolyNet:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if not self.factors:
             raise ValueError("PolyNet needs at least one factor")
-        k = self.factors[0].shape[1]
         for f in self.factors:
             if f.ndim != 2 or f.shape != self.factors[0].shape:
                 raise ValueError("all factors must share the same d x k shape")
+        k = self.factors[0].shape[1]
         if self.mix.ndim != 2 or self.mix.shape[1] != k:
             raise ValueError(f"mix must have {k} columns")
         if self.bias.shape != (self.mix.shape[0],):
@@ -442,8 +445,6 @@ def polynet_grad(z, net: PolyNet, upstream) -> PolyNet:
     are summed over the samples. Returned as a :class:`PolyNet` with the
     same shapes (gradient of each factor, of ``mix``, and of ``bias``).
     """
-    z = np.atleast_2d(_check_polynet_input(z, net))
-    upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     return _polynet_pass(z, net)[1](upstream)
 
 

@@ -2,11 +2,11 @@
 sparse part by ADMM.
 
 The model minimizes ``sum_n alpha_n * ||L_(n)||_* + lambda * ||S||_1``
-subject to ``X = L + S``, with one auxiliary low-rank variable per mode
-tied to ``L``. Each iteration applies singular value thresholding to
-every mode unfolding (threshold ``alpha_n / rho``), soft thresholding to
-the sparse part (threshold ``lambda / rho``), an averaging update for
-``L``, and dual ascent.
+subject to ``X = L + S`` as a consensus ADMM: the N + 1 split variables,
+``M_n`` per mode and ``X - S``, are one stack tied to ``L``. Each iteration
+thresholds the singular values of every mode unfolding at ``alpha_n / rho``
+and the sparse part at ``lambda / rho``, averages the splits plus their
+scaled duals into ``L``, and takes a dual ascent step.
 
 The SVT of a mode whose size ``I_n`` is at most the product of the
 others comes from ``eigh`` of the ``I_n x I_n`` mode Gram ``Y_(n) Y_(n)^T``,
@@ -82,7 +82,7 @@ def trpca(
     max_iters: int = 1000,
     tol: float = 1e-7,
 ) -> RpcaResult:
-    """Robust tensor PCA via ADMM.
+    """Robust tensor PCA via consensus ADMM.
 
     Parameters
     ----------
@@ -100,6 +100,9 @@ def trpca(
     tol : float
         Positive; stop when ``max(primal, dual)`` residual drops below
         ``tol * ||X||``.
+
+    The N + 1 split variables (one per mode, and ``X - S``) live in one
+    stack; ``L`` is the mean of the splits plus their scaled duals.
 
     Each mode's SVT is taken from ``eigh`` of its mode Gram, with no
     unfolding and no SVD, except on a mode longer than the product of
@@ -145,30 +148,26 @@ def trpca(
     rho = 1e-2
     rho_cap = 1e6
     low = np.zeros_like(x)
-    # scaled duals: one per M_n = L, the last for X = L + S
-    duals = np.zeros((n_modes + 1, *x.shape))
+    # M_0 .. M_{N-1} and X - S, each tied to L, and their scaled duals
+    splits = np.empty((n_modes + 1, *x.shape))
+    duals = np.zeros_like(splits)
     trace = []
     # (residual, low, sparse, primal, dual) of the best iterate; low and
     # sparse are rebound every iteration, never written in place
     best = None
 
     for iterations in range(1, max_iters + 1):
-        shrunk = [  # M_n and its spectrum, tied to L
-            _svt_mode(low - duals[n], n, alpha[n] / rho)
-            for n in range(n_modes)
-        ]
-        aux = [m for m, _ in shrunk]
-        nuclear = sum(a * s.sum() for a, (_, s) in zip(alpha, shrunk))
+        nuclear = 0.0
+        for n in range(n_modes):
+            splits[n], s = _svt_mode(low - duals[n], n, alpha[n] / rho)
+            nuclear += alpha[n] * s.sum()
         sparse = soft_threshold(x - low + duals[-1], lam / rho)
+        splits[-1] = x - sparse
 
-        low_prev = low
-        low = (
-            sum(m + d for m, d in zip(aux, duals)) + x - sparse + duals[-1]
-        ) / (n_modes + 1)
-
-        gaps = [m - low for m in aux] + [x - low - sparse]
+        low_prev, low = low, (splits + duals).mean(axis=0)
+        gaps = splits - low
         duals += gaps
-        primal = np.sqrt(sum(float(np.vdot(g, g)) for g in gaps))
+        primal = np.sqrt(np.vdot(gaps, gaps))
         dual = rho * np.sqrt(n_modes + 1) * frobenius(low - low_prev)
         trace.append(nuclear + lam * np.abs(sparse).sum())
 

@@ -372,6 +372,16 @@ def test_separable_kernel_factors_must_share_the_rank(rng):
         )
 
 
+@pytest.mark.parametrize("weights", [5.0, np.ones((2, 1))], ids=["scalar", "matrix"])
+def test_separable_kernel_weights_must_be_a_vector(rng, weights):
+    # a 0-d weights used to fail as an IndexError reading its length
+    with pytest.raises(ValueError, match="weights must be a vector"):
+        SeparableConvKernel(
+            weights, rng.standard_normal((3, 2)), rng.standard_normal((4, 2)),
+            [rng.standard_normal((3, 2))],
+        )
+
+
 def test_tucker_conv_kernel_needs_a_4th_order_core(rng):
     core = TuckerTensor(rng.standard_normal((2, 2, 2)), [np.eye(2)] * 3)
     with pytest.raises(ValueError, match="4th-order core"):

@@ -2,16 +2,22 @@ import json
 import re
 import struct
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tenkit import FormatError, load_model, read_tnsr, save_model, write_tnsr
-from tenkit.convfact import KruskalConvKernel
+from tenkit import FormatError, load_model, read_tnsr, save_model, serialize, write_tnsr
+from tenkit.cli import main
+from tenkit.convfact import KruskalConvKernel, SeparableConvKernel, TuckerConvKernel
 from tenkit.decomp import (
     KruskalTensor, MpcaResult, TTTensor, TuckerTensor, mpca, tt_svd, tucker_hosvd,
 )
 from tenkit.io import load_manifest
+from tenkit.nn import PolyNet, TclLayer, TrlLayer, TTLinearLayer
 
 
 def test_tnsr_roundtrip(tmp_path, rng):
@@ -341,3 +347,156 @@ def test_mpca_model_with_inconsistent_arrays_is_value_error(tmp_path, rng, name,
     write_tnsr(tmp_path / "model" / name, array)
     with pytest.raises(ValueError, match=message):
         load_model(tmp_path / "model")
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: manifest values of the wrong type, and a fuzz of TNSR
+# bytes and manifest values
+
+
+def _one_model_of_every_type():
+    rng = np.random.default_rng(0)
+
+    def r(*shape):
+        return rng.standard_normal(shape)
+
+    return {
+        KruskalTensor: KruskalTensor(np.ones(2), [r(3, 2), r(4, 2)]),
+        TuckerTensor: TuckerTensor(r(2, 2), [r(3, 2), r(4, 2)]),
+        TTTensor: tt_svd(r(3, 4, 2), ranks=2),
+        MpcaResult: mpca(r(5, 4, 7), (2, 3)),
+        KruskalConvKernel: KruskalConvKernel(r(4, 2), r(3, 2), r(3, 2), r(3, 2)),
+        TuckerConvKernel: TuckerConvKernel(
+            TuckerTensor(r(2, 2, 3, 3), [r(4, 2), r(3, 2), np.eye(3), np.eye(3)])
+        ),
+        SeparableConvKernel: SeparableConvKernel(np.ones(2), r(4, 2), r(3, 2), [r(3, 2)]),
+        TclLayer: TclLayer([r(2, 3), r(2, 4)]),
+        TrlLayer: TrlLayer(TuckerTensor(r(2, 2, 2), [r(3, 2), r(4, 2), r(5, 2)]), r(5)),
+        TTLinearLayer: TTLinearLayer.from_matrix(r(6, 6), (2, 3), (3, 2), ranks=2),
+        PolyNet: PolyNet([r(3, 2), r(3, 2)], r(4, 2), r(4)),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        (MpcaResult, "scatters", None, "scatters must be a list of numbers, got None"),
+        (MpcaResult, "total_scatter", None, "total_scatter must be a number, got None"),
+        (SeparableConvKernel, "weights", None, "weights must be a vector"),
+        (TTLinearLayer, "in_shape", [1e400], r"in_shape must hold positive integers, got \(inf,\)"),
+        (TTLinearLayer, "in_shape", [2.5, 3], r"in_shape must hold positive integers, got \(2.5, 3\)"),
+    ],
+    ids=["mpca-scatters", "mpca-total-scatter", "separable-weights", "tt-linear-inf", "tt-linear-fraction"],
+)
+def test_hostile_manifest_value_is_value_error_naming_the_key(tmp_path, kind, key, value, message):
+    # each used to escape as TypeError, IndexError or OverflowError, or
+    # (2.5) to load as mode size 2
+    save_model(tmp_path / "model", _one_model_of_every_type()[kind])
+    _edit_manifest(tmp_path / "model", lambda m: m.__setitem__(key, value))
+    with pytest.raises(ValueError, match=message):
+        load_model(tmp_path / "model")
+
+
+def test_file_entry_naming_no_file_is_format_error(tmp_path, rng):
+    model = _tt_model(tmp_path, rng)
+    _edit_manifest(model, lambda m: m["files"]["cores"].__setitem__(1, "gone.tnsr"))
+    with pytest.raises(FormatError, match="file entry 'gone.tnsr' names no file"):
+        load_manifest(model)
+
+
+_TNSR_SHAPE = (2, 3, 2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """Type -> (directory, manifest text) of one saved model of each type."""
+    saved = {}
+    for kind, model in _one_model_of_every_type().items():
+        directory = tmp_path_factory.mktemp(kind.__name__)
+        save_model(directory, model)
+        saved[kind] = directory, (directory / "manifest.json").read_text()
+    return saved
+
+
+@st.composite
+def mutated_tnsr(draw):
+    """A valid TNSR file with one byte flipped, cut short, or with its
+    order or one mode size overwritten by a drawn uint64."""
+    header = struct.pack(f"<4sHHQ{len(_TNSR_SHAPE)}Q", b"TNSR", 1, 0, len(_TNSR_SHAPE), *_TNSR_SHAPE)
+    data = bytearray(header + np.arange(12.0).astype("<f8").tobytes())
+    how = draw(st.sampled_from(["flip", "truncate", "field"]))
+    if how == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    else:
+        field = draw(st.integers(0, len(_TNSR_SHAPE)))  # 0: the order
+        value = draw(st.sampled_from([0, 1, 2, 3, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+        struct.pack_into("<Q", data, 8 + 8 * field, value)
+    return bytes(data)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mutated_tnsr())
+def test_fuzzed_tnsr_loads_or_is_format_error(fuzz_dir, data):
+    path = fuzz_dir / "fuzzed.tnsr"
+    path.write_bytes(data)
+    try:
+        read_tnsr(path)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mutated_tnsr())
+def test_fuzzed_tnsr_through_info_exits_0_or_1_with_one_line(fuzz_dir, data):
+    path = fuzz_dir / "fuzzed.tnsr"
+    path.write_bytes(data)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["info", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+
+
+_JSON_SCALARS = st.sampled_from(
+    [None, True, False, 0, 1, -1, 2, 2.5, 1e400, -1e400, "", "x"]
+) | st.floats() | st.text(max_size=3)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("kind", list(serialize._MODELS), ids=lambda kind: kind.__name__)
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(value=_JSON_VALUES, picks=st.lists(st.integers(0, 9), max_size=3))
+@example(value=None, picks=[0])
+@example(value=[1e400], picks=[])
+def test_fuzzed_manifest_loads_or_is_value_error(saved_models, kind, value, picks):
+    # the drawn JSON value, and the list of the model's own file names
+    # that picks selects, in place of each manifest value and each file
+    # entry in turn
+    directory, original = saved_models[kind]
+    files = sorted(p.name for p in directory.glob("*.tnsr"))
+    names = [files[i % len(files)] for i in picks]
+    targets = json.loads(original)
+    for path in [(k,) for k in targets] + [("files", k) for k in targets["files"]]:
+        for v in (value, names):
+            manifest = json.loads(original)
+            parent = manifest["files"] if len(path) == 2 else manifest
+            parent[path[-1]] = v
+            (directory / "manifest.json").write_text(json.dumps(manifest))
+            try:
+                load_model(directory)
+            except ValueError:  # FormatError included
+                pass

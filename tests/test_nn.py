@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tenkit import (
     tucker_hosvd,
 )
 from tenkit import nn
-from tenkit.decomp import KruskalTensor
+from tenkit.decomp import KruskalTensor, tt_svd
 from tenkit.nn import (
     PolyNet,
     TclLayer,
@@ -262,6 +263,23 @@ def test_tt_linear_width_mismatch(rng):
         tt_linear_forward(rng.standard_normal((3, 5)), layer)
 
 
+@pytest.mark.parametrize(
+    "in_shape, out_shape, what, got",
+    [
+        ((float("inf"),), (4,), "in_shape", "(inf,)"),
+        ((2.5, 3), (3, 2), "in_shape", "(2.5, 3)"),
+        ((2, 3), (3, 0), "out_shape", "(3, 0)"),
+        ((2, 3), ("3", 2), "out_shape", "('3', 2)"),
+    ],
+    ids=["inf", "fraction", "zero", "string"],
+)
+def test_tt_linear_mode_sizes_must_be_positive_integers(rng, in_shape, out_shape, what, got):
+    # int() used to overflow on inf and truncate 2.5 to 2
+    cores = tt_svd(rng.standard_normal((6, 6)), ranks=2)
+    with pytest.raises(ValueError, match=re.escape(f"{what} must hold positive integers, got {got}")):
+        TTLinearLayer(in_shape, out_shape, cores)
+
+
 # ---------------------------------------------------------------------------
 # dropout
 
@@ -396,6 +414,12 @@ def test_polynet_batch_matches_per_sample(rng):
         assert np.max(np.abs(g.factors[n] - summed)) <= 1e-12
     assert np.max(np.abs(g.mix - sum(p.mix for p in per))) <= 1e-12
     assert np.max(np.abs(g.bias - sum(p.bias for p in per))) <= 1e-12
+
+
+def test_polynet_factors_must_be_matrices(rng):
+    net = random_polynet(rng)
+    with pytest.raises(ValueError, match="d x k shape"):
+        PolyNet([np.ones(4), *net.factors[1:]], net.mix, net.bias)
 
 
 def test_polynet_rejects_wrong_width(rng):

@@ -318,11 +318,13 @@ def test_svt_mode_tiny_threshold_takes_the_exact_svd(rng, svt_calls):
     assert svt_calls == [(6, 56)]
 
 
-def _trpca_exact_svt_reference(x, lam, max_iters=1000, tol=1e-7):
+def _trpca_exact_svt_reference(x, lam, alpha=None, max_iters=1000, tol=1e-7):
     # trpca's ADMM with every SVT taken by the exact SVD of the mode
-    # unfolding, as the loop ran before the Gram SVT
+    # unfolding, and X = L + S kept apart from the M_n = L splits, as the
+    # loop ran before the Gram SVT and the one stack of splits
     n_modes = x.ndim
-    alpha = np.full(n_modes, 1.0 / n_modes)
+    if alpha is None:
+        alpha = np.full(n_modes, 1.0 / n_modes)
     norm_x = np.linalg.norm(x)
     rho, rho_cap = 1e-2, 1e6
     low = np.zeros_like(x)
@@ -356,9 +358,11 @@ def _trpca_exact_svt_reference(x, lam, max_iters=1000, tol=1e-7):
     return iterations, False, best[1], best[2]
 
 
-def _assert_trpca_matches_exact_svt(x, lam):
-    res = trpca(x, lam=lam)
-    iterations, converged, low, sparse = _trpca_exact_svt_reference(x, lam)
+def _assert_trpca_matches_exact_svt(x, lam, alpha=None, max_iters=1000):
+    res = trpca(x, lam=lam, alpha=alpha, max_iters=max_iters)
+    iterations, converged, low, sparse = _trpca_exact_svt_reference(
+        x, lam, alpha, max_iters
+    )
     assert (res.iterations, res.converged) == (iterations, converged)
     assert np.abs(res.low_rank - low).max() <= 1e-10 * np.abs(low).max()
     assert np.abs(res.sparse - sparse).max() <= 1e-10 * np.abs(sparse).max()
@@ -373,9 +377,34 @@ def test_trpca_matches_exact_svt_admm_on_planted_tensors(shape, seed):
         _assert_trpca_matches_exact_svt(low + spikes, lam)
 
 
+def _planted(rng, shape):
+    low = functools.reduce(np.multiply.outer, [rng.standard_normal(s) for s in shape])
+    return low + np.where(rng.random(shape) < 0.05, 10 * np.abs(low).mean(), 0.0)
+
+
 @pytest.mark.parametrize("shape", [(24, 4, 5), (6, 5, 4, 3)])
 def test_trpca_matches_exact_svt_admm_long_side_and_order_4(rng, shape):
     # mode 0 of 24 x 4 x 5 is the long side of its unfolding
-    low = functools.reduce(np.multiply.outer, [rng.standard_normal(s) for s in shape])
-    spikes = np.where(rng.random(shape) < 0.05, 10 * np.abs(low).mean(), 0.0)
-    _assert_trpca_matches_exact_svt(low + spikes, 0.5 * default_lambda(shape))
+    _assert_trpca_matches_exact_svt(_planted(rng, shape), 0.5 * default_lambda(shape))
+
+
+def test_trpca_matches_exact_svt_admm_with_a_zero_mode_weight(rng):
+    # a zero weight thresholds its mode at 0, which takes the exact SVD
+    x = _planted(rng, (10, 9, 8))
+    _assert_trpca_matches_exact_svt(x, 0.5 * default_lambda(x.shape), alpha=(0.6, 0.0, 0.4))
+
+
+def test_trpca_matches_exact_svt_admm_on_a_matrix(rng):
+    x = _planted(rng, (15, 12))
+    _assert_trpca_matches_exact_svt(x, default_lambda(x.shape))
+
+
+def test_trpca_matches_exact_svt_admm_capped_at_the_best_iterate(rng):
+    x = _planted(rng, (10, 10, 10))
+    lam = 0.5 * default_lambda(x.shape)
+    # iteration 100 of 136 is no better than the best before it, so the
+    # run capped there returns an earlier iterate
+    assert _trpca_exact_svt_reference(x, lam)[:2] == (136, True)
+    best = [trpca(x, lam=lam, max_iters=cap) for cap in (99, 100)]
+    assert best[0].primal_residual == best[1].primal_residual
+    _assert_trpca_matches_exact_svt(x, lam, max_iters=100)
