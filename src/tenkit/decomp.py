@@ -173,7 +173,7 @@ class DecompOptions:
     init: str = "hosvd"
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)):
+        if not _is_int(self.max_iters):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -184,10 +184,15 @@ class DecompOptions:
         _check_int(self.seed, "seed", least=0)
 
 
+def _is_int(value) -> bool:
+    # an int, numpy's included, and not a bool: int() would truncate a 2.5
+    # and overflow on inf, and True would count as 1
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_int(value, name, least=1):
-    # an int (numpy's included) of at least ``least``: int() would truncate
-    # a 2.5 and overflow on inf
-    if not isinstance(value, (int, np.integer)) or value < least:
+    # an integer (see _is_int) of at least ``least``
+    if not _is_int(value) or value < least:
         kind = "a positive" if least else "a non-negative"
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)

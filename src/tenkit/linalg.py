@@ -57,9 +57,13 @@ class SVDResult:
 
 
 def check_finite(a, name: str) -> np.ndarray:
-    """``a`` as float64; ``ValueError`` naming ``name`` and the count of
-    NaN or infinite entries if there are any."""
-    a = np.asarray(a, dtype=np.float64)
+    """``a`` as float64; ``ValueError`` naming ``name`` if it is complex,
+    or with the count of NaN or infinite entries if there are any."""
+    a = np.asarray(a)
+    # before the cast, which would drop the imaginary part with a warning
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} requires real entries, got {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     bad = a.size - np.count_nonzero(np.isfinite(a))
     if bad:
         raise ValueError(
@@ -88,10 +92,9 @@ def svd(a) -> SVDResult:
     Raises ``ValueError`` on non-finite input; LAPACK convergence
     failures propagate as ``numpy.linalg.LinAlgError``.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = check_finite(a, "svd")
     if a.ndim != 2:
         raise ValueError("svd expects a matrix")
-    check_finite(a, "svd")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     signs = column_signs(u)
     return SVDResult(U=u * signs, S=s, V=vh.T * signs)
@@ -139,11 +142,12 @@ def left_singular_basis(a, rank: int) -> np.ndarray:
 
 
 def soft_threshold(x, tau: float) -> np.ndarray:
-    """Element-wise shrinkage ``sign(x) * max(|x| - tau, 0)``."""
+    """Element-wise shrinkage ``sign(x) * max(|x| - tau, 0)``, computed as
+    ``x - clip(x, -tau, tau)``."""
     if not tau >= 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    return x - np.clip(x, -tau, tau)
 
 
 def svt(a, tau: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import generalized_inner, mode_n_product, multi_mode_product
-from .decomp import KruskalTensor, TTTensor, TuckerTensor, tt_svd
+from .decomp import KruskalTensor, TTTensor, TuckerTensor, _check_int, _is_int, tt_svd
 
 __all__ = [
     "TclLayer",
@@ -208,6 +208,15 @@ def trl_param_count(in_dims, ranks, out_dim: int) -> int:
 # TT-parametrized dense layer
 
 
+def _mode_sizes(shape, name) -> tuple:
+    # decomp._check_int on every size, reported for the whole shape
+    shape = tuple(shape)
+    try:
+        return tuple(_check_int(s, name) for s in shape)
+    except ValueError:
+        raise ValueError(f"{name} must hold positive integers, got {shape}") from None
+
+
 def tensorize_matrix(w, in_shape, out_shape) -> np.ndarray:
     """Reshape a dense ``(prod(out) x prod(in))`` weight matrix into the
     merged-mode tensor used by TT layers.
@@ -218,8 +227,8 @@ def tensorize_matrix(w, in_shape, out_shape) -> np.ndarray:
     :func:`detensorize_matrix` inverts it exactly.
     """
     w = np.asarray(w, dtype=np.float64)
-    in_shape = tuple(int(s) for s in in_shape)
-    out_shape = tuple(int(s) for s in out_shape)
+    in_shape = _mode_sizes(in_shape, "in_shape")
+    out_shape = _mode_sizes(out_shape, "out_shape")
     if len(in_shape) != len(out_shape):
         raise ValueError("in_shape and out_shape must have the same length")
     n = len(in_shape)
@@ -242,8 +251,8 @@ def tensorize_matrix(w, in_shape, out_shape) -> np.ndarray:
 def detensorize_matrix(t, in_shape, out_shape) -> np.ndarray:
     """Inverse of :func:`tensorize_matrix`."""
     t = np.asarray(t, dtype=np.float64)
-    in_shape = tuple(int(s) for s in in_shape)
-    out_shape = tuple(int(s) for s in out_shape)
+    in_shape = _mode_sizes(in_shape, "in_shape")
+    out_shape = _mode_sizes(out_shape, "out_shape")
     n = len(in_shape)
     merged = tuple(i * j for i, j in zip(in_shape, out_shape))
     if t.shape != merged:
@@ -268,10 +277,7 @@ class TTLinearLayer:
 
     def __post_init__(self):
         for name in ("in_shape", "out_shape"):
-            shape = tuple(getattr(self, name))
-            if not all(isinstance(s, (int, np.integer)) and s > 0 for s in shape):
-                raise ValueError(f"{name} must hold positive integers, got {shape}")
-            setattr(self, name, tuple(int(s) for s in shape))
+            setattr(self, name, _mode_sizes(getattr(self, name), name))
         if len(self.in_shape) != len(self.out_shape):
             raise ValueError(
                 "in_shape and out_shape must have the same length"
@@ -479,7 +485,7 @@ def sgd_fit(model, dataset, lr: float, epochs: int):
     """
     if not 0 <= lr < np.inf:
         raise ValueError(f"learning rate must be non-negative and finite, got {lr}")
-    if not isinstance(epochs, (int, np.integer)) or epochs < 0:
+    if not _is_int(epochs) or epochs < 0:
         raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
     if type(model) not in _TRAINABLE:
         raise TypeError(f"cannot train a {type(model).__name__}")

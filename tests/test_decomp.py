@@ -889,7 +889,7 @@ def test_decomp_options_rejects_a_tol_that_is_not_positive(tol):
         DecompOptions(tol=tol)
 
 
-@pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, "3"])
+@pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, "3", True])
 def test_decomp_options_rejects_a_max_iters_that_is_not_an_integer(max_iters):
     # the solvers' range(max_iters) would fail with a TypeError instead
     with pytest.raises(ValueError, match="max_iters must be an integer"):
@@ -907,11 +907,13 @@ def test_decomp_options_rejects_a_max_iters_that_is_not_an_integer(max_iters):
         (lambda x: tucker_hosvd(x, (2, 0, 2)), "rank for mode 1 must be a positive integer"),
         (lambda x: mpca(x, (2, 2.5)), "rank for mode 1 must be a positive integer"),
         (lambda x: cp_als(x, 2.5), "rank must be a positive integer, got 2.5"),
+        (lambda x: cp_als(x, True), "rank must be a positive integer, got True"),
+        (lambda x: tucker_hooi(x, (2, True, 2)), "rank for mode 1 must be a positive integer, got True"),
     ],
-    ids=["tt-cap", "tt-cap-inf", "tt-chain", "hooi", "hosvd-zero", "mpca", "cp"],
+    ids=["tt-cap", "tt-cap-inf", "tt-chain", "hooi", "hosvd-zero", "mpca", "cp", "cp-bool", "hooi-bool"],
 )
 def test_a_rank_that_is_not_a_positive_integer_is_refused(rng, call, message):
-    # int() would truncate 2.7 to 2 and overflow on inf
+    # int() would truncate 2.7 to 2 and overflow on inf, and True counted as 1
     with pytest.raises(ValueError, match=message):
         call(rng.standard_normal((4, 5, 3)))
 
@@ -933,7 +935,7 @@ def test_tt_rejects_a_zero_size_tensor(policy):
         tt_svd(np.ones((0, 3)), **policy)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "3"])
+@pytest.mark.parametrize("seed", [-1, 1.5, np.nan, "3", False])
 def test_decomp_options_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         DecompOptions(seed=seed)

@@ -2,7 +2,20 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from tenkit import SVDResult, linalg, lstsq, soft_threshold, svd, svt, truncated_svd
+from tenkit import (
+    SVDResult,
+    cp_als,
+    linalg,
+    lstsq,
+    mpca,
+    soft_threshold,
+    svd,
+    svt,
+    trpca,
+    truncated_svd,
+    tt_svd,
+    tucker_hooi,
+)
 from tenkit.linalg import (
     check_finite,
     column_signs,
@@ -77,6 +90,31 @@ def test_check_finite_counts_bad_entries():
     assert np.array_equal(ok, [[1.0, 2.0]])
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("trpca", trpca),
+        ("cp_als", lambda x: cp_als(x, 2)),
+        ("tucker_hooi", lambda x: tucker_hooi(x, (2, 2, 2))),
+        ("mpca", lambda x: mpca(x, (2, 2))),
+        ("tt_svd", tt_svd),
+        ("svd", lambda x: svd(x[0])),
+        ("left_singular_basis", lambda x: left_singular_basis(x[0], 2)),
+    ],
+)
+def test_complex_input_is_refused_naming_the_caller(rng, name, call):
+    # the float64 cast used to drop the imaginary part with a ComplexWarning,
+    # which this suite raises as an error, so the check comes before it
+    x = rng.standard_normal((3, 4, 5)) + 1j
+    with pytest.raises(ValueError, match=f"{name} requires real entries, got complex128"):
+        call(x)
+
+
+def test_check_finite_refuses_complex_even_with_zero_imaginary_part():
+    with pytest.raises(ValueError, match="solver requires real entries, got complex64"):
+        check_finite(np.ones(3, dtype=np.complex64), "solver")
+
+
 def test_truncated_svd_full_rank_exact(rng):
     a = rng.standard_normal((4, 3))
     r = truncated_svd(a, 3)
@@ -123,6 +161,16 @@ def test_soft_threshold():
         soft_threshold(x, np.nan)
     with pytest.raises(ValueError, match="threshold must be non-negative, got nan"):
         svt(np.diag(x), np.nan)
+
+
+def test_soft_threshold_matches_sign_times_shrunk_magnitude(rng):
+    # x - clip(x, -tau, tau) is the textbook form, up to the sign of zero
+    x = np.concatenate([rng.standard_normal(200), [0.3, -0.3, 0.0, -0.0, np.inf, -np.inf]])
+    for tau in (0.0, 0.3, 1.0, np.inf):
+        with np.errstate(invalid="ignore"):
+            want = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+            got = soft_threshold(x, tau)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_soft_threshold_shrinks_support(rng):

@@ -225,6 +225,25 @@ def test_tensorize_product_mismatch(rng):
         tensorize_matrix(rng.standard_normal((4, 4)), (2, 2), (2, 3))
 
 
+@pytest.mark.parametrize(
+    "in_shape, out_shape, what, got",
+    [
+        ((2.5, 4), (4, 3), "in_shape", "(2.5, 4)"),
+        ((float("inf"), 4), (4, 3), "in_shape", "(inf, 4)"),
+        ((2, 4), (4, True), "out_shape", "(4, True)"),
+        ((2, 4), (4, 0), "out_shape", "(4, 0)"),
+    ],
+    ids=["fraction", "inf", "bool", "zero"],
+)
+def test_tensorize_mode_sizes_must_be_positive_integers(rng, in_shape, out_shape, what, got):
+    # (2.5, 4) used to be read as (2, 4), and inf raised OverflowError
+    message = re.escape(f"{what} must hold positive integers, got {got}")
+    with pytest.raises(ValueError, match=message):
+        tensorize_matrix(rng.standard_normal((12, 8)), in_shape, out_shape)
+    with pytest.raises(ValueError, match=message):
+        detensorize_matrix(rng.standard_normal((8, 12)), in_shape, out_shape)
+
+
 def test_tt_linear_full_rank_matches_dense(rng):
     w = rng.standard_normal((12, 8))
     layer = TTLinearLayer.from_matrix(w, (2, 4), (4, 3))
@@ -270,8 +289,9 @@ def test_tt_linear_width_mismatch(rng):
         ((2.5, 3), (3, 2), "in_shape", "(2.5, 3)"),
         ((2, 3), (3, 0), "out_shape", "(3, 0)"),
         ((2, 3), ("3", 2), "out_shape", "('3', 2)"),
+        ((2, True), (3, 2), "in_shape", "(2, True)"),
     ],
-    ids=["inf", "fraction", "zero", "string"],
+    ids=["inf", "fraction", "zero", "string", "bool"],
 )
 def test_tt_linear_mode_sizes_must_be_positive_integers(rng, in_shape, out_shape, what, got):
     # int() used to overflow on inf and truncate 2.5 to 2
@@ -472,7 +492,7 @@ def test_sgd_rejects_negative_lr(rng):
             sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), lr, 1)
 
 
-@pytest.mark.parametrize("epochs", [-1, np.nan, 2.5, 3.0])
+@pytest.mark.parametrize("epochs", [-1, np.nan, 2.5, 3.0, True])
 def test_sgd_rejects_epochs_that_are_not_a_count(rng, epochs):
     layer = random_trl(rng)
     data = (np.zeros((1,) + layer.in_shape), np.zeros((1, 3)))

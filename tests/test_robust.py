@@ -1,7 +1,10 @@
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_err
 from tenkit import default_lambda, fold, robust, trpca, unfold
@@ -111,6 +114,12 @@ def test_trpca_rejects_a_max_iters_that_is_not_an_integer(rng, max_iters):
     x = rng.standard_normal((4, 5, 3))
     with pytest.raises(ValueError, match="max_iters must be an integer"):
         trpca(x, max_iters=max_iters)
+
+
+def test_trpca_rejects_a_bool_max_iters(rng):
+    # True used to run one iteration
+    with pytest.raises(ValueError, match="max_iters must be an integer, got True"):
+        trpca(rng.standard_normal((4, 5, 3)), max_iters=True)
 
 
 def test_trpca_objective_trace_has_one_entry_per_iteration(rng):
@@ -318,6 +327,29 @@ def test_svt_mode_tiny_threshold_takes_the_exact_svd(rng, svt_calls):
     assert svt_calls == [(6, 56)]
 
 
+@pytest.mark.parametrize("shape", [(8, 9, 10), (7, 3, 4, 5)])
+def test_svt_mode_at_every_kept_rank(rng, shape, svt_calls):
+    # k = 0 to I_n kept values on the first, an inner and the last mode:
+    # U (W U^T Y) up to 2k = I_n, (U W U^T) Y above, all from the Gram
+    y = rng.standard_normal(shape)
+    for n in range(y.ndim):
+        s = np.linalg.svd(unfold(y, n), compute_uv=False)
+        edges = np.concatenate([[2 * s[0]], s, [0.5 * s[-1]]])
+        for k in range(s.size + 1):
+            _assert_svt_mode_matches_exact(y, n, 0.5 * (edges[k] + edges[k + 1]))
+    assert svt_calls == []
+
+
+def test_svt_mode_at_a_threshold_equal_to_a_singular_value(rng):
+    # the value at tau shrinks to zero; whether the Gram keeps it at a
+    # rounding-sized weight or not, the result is the exact SVT
+    y = rng.standard_normal((6, 7, 8))
+    for n in range(3):
+        s = np.linalg.svd(unfold(y, n), compute_uv=False)
+        for tau in s[1:]:
+            _assert_svt_mode_matches_exact(y, n, tau)
+
+
 def _trpca_exact_svt_reference(x, lam, alpha=None, max_iters=1000, tol=1e-7):
     # trpca's ADMM with every SVT taken by the exact SVD of the mode
     # unfolding, and X = L + S kept apart from the M_n = L splits, as the
@@ -408,3 +440,39 @@ def test_trpca_matches_exact_svt_admm_capped_at_the_best_iterate(rng):
     best = [trpca(x, lam=lam, max_iters=cap) for cap in (99, 100)]
     assert best[0].primal_residual == best[1].primal_residual
     _assert_trpca_matches_exact_svt(x, lam, max_iters=100)
+
+
+@st.composite
+def _rpca_cases(draw):
+    order = draw(st.integers(2, 4))
+    shape = draw(st.lists(st.integers(2, 5), min_size=order, max_size=order))
+    modes = st.integers(0, order - 1)
+    if draw(st.booleans()):
+        shape[draw(modes)] = 1
+    if draw(st.booleans()):
+        # longer than the product of the others: its SVT takes the exact SVD
+        n = draw(modes)
+        shape[n] = math.prod(shape[:n] + shape[n + 1 :]) + draw(st.integers(1, 3))
+    shape = tuple(shape)
+    lam = draw(st.sampled_from([0.5, 1.0, 2.0])) * default_lambda(shape)
+    alpha = None
+    if draw(st.booleans()):
+        alpha = np.full(order, 1.0 / (order - 1))
+        alpha[draw(modes)] = 0.0
+    return shape, lam, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_rpca_cases())
+def test_trpca_matches_exact_svt_admm_on_drawn_tensors(case):
+    # orders 2-4 with a mode of size 1, a long-side mode and a zero mode
+    # weight among the draws, at half, one and two times default_lambda.
+    # Agreement is measured against max|X|: at half of it a 2 x 2 draw
+    # puts all of X in S, and its L of 2e-9 differs by rounding
+    shape, lam, alpha, seed = case
+    x = _planted(np.random.default_rng(seed), shape)
+    res = trpca(x, lam=lam, alpha=alpha)
+    iterations, converged, low, sparse = _trpca_exact_svt_reference(x, lam, alpha)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert np.abs(res.low_rank - low).max() <= 1e-10 * np.abs(x).max()
+    assert np.abs(res.sparse - sparse).max() <= 1e-10 * np.abs(x).max()
