@@ -186,6 +186,8 @@ def cmd_rpca(args) -> dict:
         "lambda": result.lam,
         "iterations": result.iterations,
         "converged": result.converged,
+        "primal_residual": float(result.primal_residual),
+        "dual_residual": float(result.dual_residual),
         "feasibility_residual": feas,
         "sparse_ratio": frobenius(result.sparse) / norm if norm else 0.0,
         "sparse_fraction": norm_l0(result.sparse) / tensor.size,

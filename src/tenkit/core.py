@@ -326,7 +326,7 @@ def norm_lp(tensor, p: float) -> float:
     """Element-wise l_p norm, ``p >= 1``."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = _as_tensor(tensor)
+    x = _as_tensor(linalg._check_real(tensor, "norm_lp"))
     if p == 2:
         return float(np.sqrt(np.vdot(x, x)))
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
@@ -339,7 +339,7 @@ def norm_l0(tensor) -> int:
 
 def frobenius(tensor) -> float:
     """Frobenius norm; identical to ``norm_lp(tensor, 2)``."""
-    return norm_lp(tensor, 2.0)
+    return norm_lp(linalg._check_real(tensor, "frobenius"), 2.0)
 
 
 def schatten(matrix, p: float) -> float:

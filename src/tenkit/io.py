@@ -32,6 +32,8 @@ import struct
 
 import numpy as np
 
+from .linalg import _check_real
+
 __all__ = [
     "FormatError",
     "read_tnsr",
@@ -51,7 +53,7 @@ class FormatError(ValueError):
 
 def write_tnsr(path, tensor) -> None:
     """Write a tensor to ``path`` in the TNSR container format."""
-    arr = np.ascontiguousarray(np.asarray(tensor, dtype="<f8"))
+    arr = np.ascontiguousarray(_check_real(tensor, "write_tnsr"), dtype="<f8")
     if arr.ndim < 1:
         arr = arr.reshape(1)
     with open(path, "wb") as fh:

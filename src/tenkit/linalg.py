@@ -56,14 +56,27 @@ class SVDResult:
         return self.S.shape[0]
 
 
+def _check_real(a, name: str) -> np.ndarray:
+    """``a`` as an array; ``ValueError`` naming ``name`` and the dtype if
+    it is complex. Call it before a float64 cast, which would drop the
+    imaginary part with only a warning."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} requires real entries, got {a.dtype}")
+    return a
+
+
 def check_finite(a, name: str) -> np.ndarray:
     """``a`` as float64; ``ValueError`` naming ``name`` if it is complex,
     or with the count of NaN or infinite entries if there are any."""
-    a = np.asarray(a)
-    # before the cast, which would drop the imaginary part with a warning
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} requires real entries, got {a.dtype}")
-    a = a.astype(np.float64, copy=False)
+    a = _check_real(a, name)
+    try:
+        a = a.astype(np.float64, copy=False)
+    except TypeError as exc:
+        # an object array holding complex numbers has no complex dtype
+        raise ValueError(
+            f"{name} requires real entries, got {a.dtype} ({exc})"
+        ) from None
     bad = a.size - np.count_nonzero(np.isfinite(a))
     if bad:
         raise ValueError(

@@ -3,13 +3,18 @@ sparse part by ADMM.
 
 The model minimizes ``sum_n alpha_n * ||L_(n)||_* + lambda * ||S||_1``
 subject to ``X = L + S`` as a consensus ADMM: the N + 1 split variables,
-``M_n`` per mode and ``X - S``, are tied to ``L``. It runs in its
-Douglas-Rachford form, whose whole state is one stack ``w`` with
-``w_n = L - U_n`` for the scaled dual ``U_n`` of split n. Each iteration
-thresholds the singular values of mode n of ``w_n`` at ``alpha_n / rho``
-and the sparse part ``X - w_N`` at ``lambda / rho``. The duals start at
-zero and keep a zero sum, so the new ``L`` is the mean of the splits, and
-the state moves to ``w + (L_new - L) - (M - L_new)``.
+``M_n`` per mode and ``X - S``, are tied to ``L``. Each mode split has the
+penalty ``rho`` and the sparse split ``N * rho``, so the sparse split
+weighs as much as the N mode splits together, as the two equal splits of
+matrix RPCA do; this scaling moves the iterates, not the optimum, and
+takes fewer iterations. It runs in its Douglas-Rachford form, whose whole
+state is one stack ``w`` with ``w_n = L - U_n`` for the scaled dual
+``U_n`` of split n. Each iteration thresholds the singular values of
+mode n of ``w_n`` at ``alpha_n / rho`` and the sparse part ``X - w_N`` at
+``lambda / (N * rho)``. The duals start at zero and their penalty-weighted
+sum stays zero, so the new ``L`` is half the mean of the mode splits plus
+half of ``X - S``, and the state moves to ``w + (L_new - L) - (M - L_new)``.
+The dual residual is ``rho * sqrt(N + N^2) * ||L_new - L||``.
 
 The SVT of a mode whose size ``I_n`` is at most the product of the
 others comes from ``eigh`` of the ``I_n x I_n`` mode Gram ``Y_(n) Y_(n)^T``,
@@ -43,8 +48,13 @@ class RpcaResult:
     ``low_rank + sparse`` reproduces the input up to the feasibility
     residual. ``converged`` is False when the iteration cap was hit, in
     which case the best iterate seen (lowest combined residual) is
-    returned instead of the last one. ``objective_trace`` has one
-    split-variable objective per iteration (see :func:`trpca`).
+    returned instead of the last one. Both residuals are those of the
+    returned iterate: ``primal_residual`` is the norm of every split's gap
+    ``M_n - L`` and ``X - S - L``, and ``dual_residual`` is
+    ``rho * sqrt(N + N^2) * ||L - L_prev||``, the dual step of N mode
+    splits of penalty ``rho`` and one sparse split of ``N * rho``.
+    ``objective_trace`` has one split-variable objective per iteration
+    (see :func:`trpca`).
     """
 
     low_rank: np.ndarray
@@ -146,8 +156,11 @@ def trpca(
         ``tol * ||X||``.
 
     The state is one stack ``w`` of ``L`` minus each split's scaled dual,
-    for the N + 1 split variables (one per mode, and ``X - S``). ``L`` is
-    the mean of the splits, since the duals sum to zero.
+    for the N + 1 split variables (one per mode with penalty ``rho``, and
+    ``X - S`` with ``N * rho``). ``L`` is ``(mean of the mode splits +
+    X - S) / 2``, since the duals' penalty-weighted sum is zero, and the
+    dual residual is ``rho * sqrt(N + N^2) * ||L_new - L||``. A mode of
+    weight 0 is not thresholded: its split is its state.
 
     Each mode's SVT is taken from ``eigh`` of its mode Gram, with no
     unfolding and no SVD, and applied at the rank it keeps; a mode
@@ -192,8 +205,10 @@ def trpca(
 
     rho = 1e-2
     rho_cap = 1e6
-    # the state w_n = L - U_n of each split, U_n its scaled dual: the duals
-    # start at 0 and their sum stays 0, so L is the mean of the splits
+    dual_scale = math.sqrt(n_modes + n_modes**2)
+    # the state w_n = L - U_n of each split, U_n its scaled dual. The sparse
+    # split's penalty is N * rho, each mode's rho: the duals start at 0 and
+    # their weighted sum stays 0, so L = (mean of the mode splits + X - S) / 2
     state = np.zeros((n_modes + 1, *x.shape))
     splits = np.empty_like(state)
     views = [(_mode_view(state[n], n), _mode_view(splits[n], n)) for n in range(n_modes)]
@@ -210,9 +225,12 @@ def trpca(
     for iterations in range(1, max_iters + 1):
         nuclear = 0.0
         for n, (w_n, m_n) in enumerate(views):
-            nuclear += alpha[n] * _svt_view(w_n, alpha[n] / rho, m_n).sum()
+            if alpha[n]:
+                nuclear += alpha[n] * _svt_view(w_n, alpha[n] / rho, m_n).sum()
+            else:
+                m_n[...] = w_n  # the SVT at threshold 0 is the identity
         # S = v - clip(v, -t, t) is the soft threshold of v = X - w_N
-        t = lam / rho
+        t = lam / (n_modes * rho)
         sparse = sparses[1] if sparses[0] is best[2] else sparses[0]
         np.subtract(x, state[-1], out=sparse)
         np.clip(sparse, -t, t, out=splits[-1])
@@ -221,8 +239,10 @@ def trpca(
 
         low_prev = low
         low = next(b for b in lows if b is not low_prev and b is not best[1])
-        np.add.reduce(splits, axis=0, out=low)
-        low /= n_modes + 1
+        np.add.reduce(splits[:-1], axis=0, out=low)
+        low /= n_modes
+        low += splits[-1]
+        low *= 0.5
         np.subtract(low, low_prev, out=step)
         gaps = splits  # M - L_new, in place
         gaps -= low
@@ -230,7 +250,7 @@ def trpca(
         state -= gaps
         state += step
         primal = np.sqrt(np.vdot(gaps, gaps))
-        dual = rho * np.sqrt(n_modes + 1) * np.sqrt(np.vdot(step, step))
+        dual = rho * dual_scale * np.sqrt(np.vdot(step, step))
         trace.append(nuclear + lam * np.abs(sparse).sum())
 
         if max(primal, dual) < best[0]:

@@ -385,6 +385,21 @@ def test_rpca_json_report(tmp_path, capsys, rng):
         assert report["lambda"] == 1 / np.sqrt(6)
 
 
+def test_rpca_reports_its_residuals(tmp_path, capsys, rng):
+    # those of RpcaResult: below tol * ||X|| (tol = 1e-7) at convergence
+    x = rank2_tensor(rng)
+    path = tmp_path / "x.tnsr"
+    write_tnsr(path, x)
+    code, out, _ = run_cli(
+        capsys, "rpca", str(path), "--json", "--out", str(tmp_path / "parts")
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["converged"] is True
+    for key in ("primal_residual", "dual_residual"):
+        assert 0 <= report[key] < 1e-7 * np.linalg.norm(x)
+
+
 def test_rpca_non_finite_input_exit_code(tmp_path, capsys, rng):
     x = rng.standard_normal((4, 5, 3))
     x[2, 1, 0] = np.nan

@@ -507,6 +507,13 @@ def test_norm_lp_2_matches_the_power_sum(rng):
         assert norm_lp(t, 2.5) == float(np.sum(np.abs(t) ** 2.5) ** 0.4)
 
 
+@pytest.mark.parametrize("name, norm", [("frobenius", frobenius), ("norm_lp", lambda x: norm_lp(x, 2))])
+def test_norms_refuse_complex_input(name, norm):
+    # the float64 cast used to drop the imaginary part: 3.46, not 7.75
+    with pytest.raises(ValueError, match=f"{name} requires real entries, got complex128"):
+        norm(np.ones((3, 4)) + 2j)
+
+
 def test_norm_l0_counts():
     assert norm_l0(np.array([0.0, 1.0, 0.0, 2.0])) == 2
 

@@ -30,6 +30,14 @@ def test_tnsr_roundtrip(tmp_path, rng):
         assert np.array_equal(back, t)
 
 
+def test_tnsr_write_refuses_complex_input(tmp_path):
+    # the float64 cast used to drop the imaginary part: the file read back as ones
+    path = tmp_path / "t.tnsr"
+    with pytest.raises(ValueError, match="write_tnsr requires real entries, got complex128"):
+        write_tnsr(path, np.ones((2, 2)) + 1j)
+    assert not path.exists()
+
+
 def test_tnsr_header_layout(tmp_path):
     t = np.arange(6, dtype=float).reshape(2, 3)
     path = tmp_path / "t.tnsr"

@@ -104,10 +104,12 @@ def test_check_finite_counts_bad_entries():
 )
 def test_complex_input_is_refused_naming_the_caller(rng, name, call):
     # the float64 cast used to drop the imaginary part with a ComplexWarning,
-    # which this suite raises as an error, so the check comes before it
+    # which this suite raises as an error, so the check comes before it; an
+    # object array of complex numbers made the cast raise a bare TypeError
     x = rng.standard_normal((3, 4, 5)) + 1j
-    with pytest.raises(ValueError, match=f"{name} requires real entries, got complex128"):
-        call(x)
+    for dtype in ("complex128", "object"):
+        with pytest.raises(ValueError, match=f"{name} requires real entries, got {dtype}"):
+            call(x.astype(dtype))
 
 
 def test_check_finite_refuses_complex_even_with_zero_imaginary_part():

@@ -172,7 +172,8 @@ def test_trpca_objective_settles_at_convergence(rng):
 
 def _matrix_rpca_reference(x, lam, max_iters=1000, tol=1e-7):
     # the same ADMM specialized by hand to matrices with alpha = (1/2, 1/2):
-    # auxiliary M1 for the matrix itself, M2 for its transpose
+    # auxiliary M1 for the matrix itself, M2 for its transpose, each with
+    # penalty rho, and X - S with 2 * rho
     norm_x = np.linalg.norm(x)
     rho, cap = 1e-2, 1e6
     low = np.zeros_like(x)
@@ -185,15 +186,15 @@ def _matrix_rpca_reference(x, lam, max_iters=1000, tol=1e-7):
     for _ in range(max_iters):
         m1 = svt(low - g1, 0.5 / rho)
         m2 = svt((low - g2).T, 0.5 / rho).T
-        sparse = soft_threshold(x - low + z, lam / rho)
+        sparse = soft_threshold(x - low + z, lam / (2 * rho))
         low_prev = low
-        low = (m1 + g1 + m2 + g2 + x - sparse + z) / 3.0
+        low = (m1 + g1 + m2 + g2 + 2 * (x - sparse + z)) / 4.0
         r1, r2, rf = m1 - low, m2 - low, x - low - sparse
         g1 += r1
         g2 += r2
         z += rf
         primal = np.sqrt(sum(np.sum(r**2) for r in (r1, r2, rf)))
-        dual = rho * np.sqrt(3) * np.linalg.norm(low - low_prev)
+        dual = rho * np.sqrt(6) * np.linalg.norm(low - low_prev)
         if max(primal, dual) < tol * norm_x:
             break
         if primal > 10 * dual and rho * 1.5 <= cap:
@@ -350,13 +351,18 @@ def test_svt_mode_at_a_threshold_equal_to_a_singular_value(rng):
             _assert_svt_mode_matches_exact(y, n, tau)
 
 
-def _trpca_exact_svt_reference(x, lam, alpha=None, max_iters=1000, tol=1e-7):
+def _trpca_exact_svt_reference(
+    x, lam, alpha=None, max_iters=1000, tol=1e-7, sparse_weight=None
+):
     # trpca's ADMM with every SVT taken by the exact SVD of the mode
     # unfolding, and X = L + S kept apart from the M_n = L splits, as the
-    # loop ran before the Gram SVT and the one stack of splits
+    # loop ran before the Gram SVT and the one stack of splits. The sparse
+    # split's penalty is sparse_weight * rho, N by default as in trpca;
+    # sparse_weight=1 is the equal-weight loop trpca ran before
     n_modes = x.ndim
     if alpha is None:
         alpha = np.full(n_modes, 1.0 / n_modes)
+    c = n_modes if sparse_weight is None else sparse_weight
     norm_x = np.linalg.norm(x)
     rho, rho_cap = 1e-2, 1e6
     low = np.zeros_like(x)
@@ -368,15 +374,15 @@ def _trpca_exact_svt_reference(x, lam, alpha=None, max_iters=1000, tol=1e-7):
                  n, x.shape)
             for n in range(n_modes)
         ]
-        sparse = soft_threshold(x - low + duals[-1], lam / rho)
+        sparse = soft_threshold(x - low + duals[-1], lam / (c * rho))
         low_prev = low
         low = (
-            sum(m + d for m, d in zip(aux, duals)) + x - sparse + duals[-1]
-        ) / (n_modes + 1)
+            sum(m + d for m, d in zip(aux, duals)) + c * (x - sparse + duals[-1])
+        ) / (n_modes + c)
         gaps = [m - low for m in aux] + [x - low - sparse]
         duals += gaps
         primal = np.sqrt(sum(float(np.sum(g**2)) for g in gaps))
-        dual = rho * np.sqrt(n_modes + 1) * np.linalg.norm(low - low_prev)
+        dual = rho * np.sqrt(n_modes + c**2) * np.linalg.norm(low - low_prev)
         if best is None or max(primal, dual) < best[0]:
             best = (max(primal, dual), low, sparse)
         if max(primal, dual) < tol * norm_x:
@@ -426,6 +432,15 @@ def test_trpca_matches_exact_svt_admm_with_a_zero_mode_weight(rng):
     _assert_trpca_matches_exact_svt(x, 0.5 * default_lambda(x.shape), alpha=(0.6, 0.0, 0.4))
 
 
+def test_trpca_zero_mode_weight_runs_no_svd(rng, svt_calls):
+    # an SVT at threshold 0 is the identity, so a mode of weight 0 needs no
+    # SVD: its split is its state
+    x = _planted(rng, (10, 9, 8))
+    res = trpca(x, lam=0.5 * default_lambda(x.shape), alpha=(0.5, 0.5, 0.0))
+    assert res.converged
+    assert svt_calls == []
+
+
 def test_trpca_matches_exact_svt_admm_on_a_matrix(rng):
     x = _planted(rng, (15, 12))
     _assert_trpca_matches_exact_svt(x, default_lambda(x.shape))
@@ -434,12 +449,43 @@ def test_trpca_matches_exact_svt_admm_on_a_matrix(rng):
 def test_trpca_matches_exact_svt_admm_capped_at_the_best_iterate(rng):
     x = _planted(rng, (10, 10, 10))
     lam = 0.5 * default_lambda(x.shape)
-    # iteration 100 of 136 is no better than the best before it, so the
+    # iteration 99 of 123 is no better than the best before it, so the
     # run capped there returns an earlier iterate
-    assert _trpca_exact_svt_reference(x, lam)[:2] == (136, True)
-    best = [trpca(x, lam=lam, max_iters=cap) for cap in (99, 100)]
+    assert _trpca_exact_svt_reference(x, lam)[:2] == (123, True)
+    best = [trpca(x, lam=lam, max_iters=cap) for cap in (98, 99)]
     assert best[0].primal_residual == best[1].primal_residual
-    _assert_trpca_matches_exact_svt(x, lam, max_iters=100)
+    _assert_trpca_matches_exact_svt(x, lam, max_iters=99)
+
+
+def test_trpca_sparse_weight_changes_the_path_not_the_answer():
+    # the sparse split's penalty N * rho against the equal-weight loop trpca
+    # ran before: where both converge they reach the same optimum, and the
+    # weighted loop takes fewer iterations in all
+    def objective(low, sparse, lam):
+        nuclear = sum(
+            np.linalg.svd(unfold(low, n), compute_uv=False).sum() for n in range(low.ndim)
+        )
+        return nuclear / low.ndim + lam * np.abs(sparse).sum()
+
+    compared, weighted, equal = 0, 0, 0
+    for shape in [(15, 12), (12, 9, 7), (10, 10, 10), (6, 5, 4, 3)]:
+        for seed in range(3):
+            x = _planted(np.random.default_rng(seed), shape)
+            for lam in (0.5 * default_lambda(shape), default_lambda(shape)):
+                res = trpca(x, lam=lam)
+                iterations, converged, low, sparse = _trpca_exact_svt_reference(
+                    x, lam, sparse_weight=1
+                )
+                if not (res.converged and converged):
+                    continue
+                compared += 1
+                weighted += res.iterations
+                equal += iterations
+                want = objective(low, sparse, lam)
+                assert abs(objective(res.low_rank, res.sparse, lam) - want) <= 1e-6 * want
+                assert rel_err(res.low_rank, low) <= 1e-4
+    assert compared >= 18
+    assert weighted < equal
 
 
 @st.composite
