@@ -166,9 +166,8 @@ def cmd_decompose(args) -> dict:
 
 def cmd_rpca(args) -> dict:
     tensor = read_tnsr(args.path)
-    alpha = np.asarray(args.alpha, dtype=float) if args.alpha else None
     result = robust.trpca(
-        tensor, lam=args.lam, alpha=alpha, max_iters=args.max_iters
+        tensor, lam=args.lam, alpha=args.alpha, max_iters=args.max_iters
     )
     os.makedirs(args.out, exist_ok=True)
     write_tnsr(os.path.join(args.out, "L.tnsr"), result.low_rank)

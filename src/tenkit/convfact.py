@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _correlate, mode_n_product, multi_mode_product
+from .core import _correlate, frobenius, mode_n_product, multi_mode_product
 from .decomp import DecompOptions, TuckerTensor, cp_als, tucker_hooi
+from .linalg import _as_float64, _check_count
 
 __all__ = [
     "KruskalConvKernel",
@@ -80,12 +81,12 @@ class SeparableConvKernel:
     spatial: list
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.u_out = np.asarray(self.u_out, dtype=np.float64)
-        self.u_in = np.asarray(self.u_in, dtype=np.float64)
-        self.spatial = [np.asarray(m, dtype=np.float64) for m in self.spatial]
-        if self.weights.ndim != 1:
+        if np.ndim(self.weights) != 1:  # before the cast, so a null is "not a vector"
             raise ValueError("weights must be a vector")
+        self.weights = _as_float64(self.weights, "weights")
+        self.u_out = _as_float64(self.u_out, "u_out")
+        self.u_in = _as_float64(self.u_in, "u_in")
+        self.spatial = [_as_float64(m, "spatial") for m in self.spatial]
         r = self.weights.shape[0]
         mats = [self.u_out, self.u_in, *self.spatial]
         if any(m.ndim != 2 or m.shape[1] != r for m in mats):
@@ -117,7 +118,7 @@ class KruskalConvKernel(SeparableConvKernel):
     """
 
     def __init__(self, u_out, u_in, u_h, u_w):
-        u_out = np.asarray(u_out, dtype=np.float64)
+        u_out = _as_float64(u_out, "u_out")
         rank = u_out.shape[1] if u_out.ndim == 2 else 0
         super().__init__(np.ones(rank), u_out, u_in, [u_h, u_w])
 
@@ -144,8 +145,8 @@ def conv_nd_direct(x, kernel) -> np.ndarray:
     output ("kn2row"): the extra memory is about one output, not the
     ``K_1 ... K_N``-fold window copy of im2col.
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
+    x = _as_float64(x, "conv_nd_direct")
+    kernel = _as_float64(kernel, "conv_nd_direct")
     if kernel.ndim != x.ndim + 1:
         raise ValueError(
             f"kernel of order {kernel.ndim} does not match input of order "
@@ -173,8 +174,8 @@ def _check_kernel_extents(dims, ks) -> None:
 
 def conv2d_direct(x, kernel) -> np.ndarray:
     """Direct 2-D multichannel cross-correlation (valid extent)."""
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
+    x = _as_float64(x, "conv2d_direct")
+    kernel = _as_float64(kernel, "conv2d_direct")
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError("conv2d_direct expects C x H x W input and "
                          "T x C x H x W kernel")
@@ -183,8 +184,8 @@ def conv2d_direct(x, kernel) -> np.ndarray:
 
 def conv1x1(x, weight) -> np.ndarray:
     """Pointwise (1x1) convolution: a contraction of the channel mode."""
-    x = np.asarray(x, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
+    x = _as_float64(x, "conv1x1")
+    weight = _as_float64(weight, "conv1x1")
     if weight.ndim != 2 or weight.shape[1] != x.shape[0]:
         raise ValueError(
             f"weight of shape {weight.shape} does not match "
@@ -200,7 +201,7 @@ def kruskal_conv2d(x, kernel: KruskalConvKernel) -> np.ndarray:
     depthwise convs over height then width, 1x1 conv up to the output
     channels. Matches ``conv2d_direct(x, kernel.reconstruct())``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "kruskal_conv2d")
     if x.ndim != 3:
         raise ValueError("kruskal_conv2d expects a C x H x W input")
     return separable_convnd(x, kernel)
@@ -213,7 +214,7 @@ def tucker_conv2d(x, kernel: TuckerConvKernel) -> np.ndarray:
     spatial factors absorbed into the core, then a 1x1 conv up to the
     output channels. Matches ``conv2d_direct`` on the reconstruction.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "tucker_conv2d")
     if x.ndim != 3:
         raise ValueError("tucker_conv2d expects a C x H x W input")
     core, (u_out, u_in, u_h, u_w) = kernel.tucker.core, kernel.tucker.factors
@@ -231,7 +232,7 @@ def separable_convnd(x, kernel: SeparableConvKernel) -> np.ndarray:
     the component weights applied. Matches ``conv_nd_direct`` on the
     reconstructed kernel.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "separable_convnd")
     if x.ndim != len(kernel.spatial) + 1:
         raise ValueError(
             f"input of order {x.ndim} needs {x.ndim - 1} spatial factors, "
@@ -249,7 +250,7 @@ def separable_convnd(x, kernel: SeparableConvKernel) -> np.ndarray:
 def transduce(kernel: SeparableConvKernel, extra_factor) -> SeparableConvKernel:
     """Extend a separable kernel to one more spatial dimension by
     appending a single 1-D factor bank."""
-    extra = np.asarray(extra_factor, dtype=np.float64)
+    extra = _as_float64(extra_factor, "transduce")
     if extra.ndim != 2 or extra.shape[1] != kernel.rank:
         raise ValueError(
             f"extra factor must have {kernel.rank} columns, got shape "
@@ -271,7 +272,7 @@ def decompose_kernel(kernel, form: str, ranks, opts: DecompOptions | None = None
     ``info`` reports the relative reconstruction error and parameter
     counts before/after.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
+    kernel = _as_float64(kernel, "decompose_kernel")
     if kernel.ndim != 4:
         raise ValueError(
             f"expected an order-4 T x C x H x W kernel, got order {kernel.ndim}"
@@ -287,8 +288,8 @@ def decompose_kernel(kernel, form: str, ranks, opts: DecompOptions | None = None
     else:
         raise ValueError(f"unknown form {form!r}")
     recon = fact.reconstruct()
-    denom = np.linalg.norm(kernel)
-    err = float(np.linalg.norm(kernel - recon) / denom) if denom else 0.0
+    denom = frobenius(kernel)
+    err = frobenius(kernel - recon) / denom if denom else 0.0
     info = {
         "relative_error": err,
         "params_before": int(kernel.size),
@@ -299,16 +300,17 @@ def decompose_kernel(kernel, form: str, ranks, opts: DecompOptions | None = None
 
 def direct_multiply_count(kernel_shape, in_shape) -> int:
     """Fused multiply-adds of the direct 2-D convolution."""
-    t, c, h, w = kernel_shape
-    _, hi, wi = in_shape
+    t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
+    _, hi, wi = (_check_count(s, "input size") for s in in_shape)
     ho, wo = hi - h + 1, wi - w + 1
-    return int(t * c * h * w * ho * wo)
+    return t * c * h * w * ho * wo
 
 
 def kruskal_multiply_count(kernel_shape, rank, in_shape) -> dict:
     """Per-stage fused multiply-adds of the Kruskal pipeline."""
-    t, c, h, w = kernel_shape
-    _, hi, wi = in_shape
+    t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
+    _, hi, wi = (_check_count(s, "input size") for s in in_shape)
+    rank = _check_count(rank, "rank")
     ho, wo = hi - h + 1, wi - w + 1
     stages = {
         "conv1x1_in": rank * c * hi * wi,

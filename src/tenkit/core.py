@@ -21,6 +21,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
+from .linalg import _as_float64, _check_count
 
 __all__ = [
     "unfold",
@@ -45,10 +46,6 @@ __all__ = [
 ]
 
 
-def _as_tensor(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 def _check_mode(tensor: np.ndarray, mode: int) -> None:
     if not 0 <= mode < tensor.ndim:
         raise ValueError(
@@ -63,7 +60,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
     the mode-``mode`` fibers, ordered row-major over the remaining
     indices (see module docstring for the exact index map).
     """
-    tensor = _as_tensor(tensor)
+    tensor = _as_float64(tensor, "unfold")
     _check_mode(tensor, mode)
     rest = tensor.shape[:mode] + tensor.shape[mode + 1 :]
     cols = int(np.prod(rest, dtype=np.int64))  # -1 fails when I_mode is 0
@@ -73,8 +70,10 @@ def unfold(tensor, mode: int) -> np.ndarray:
 def fold(matrix, mode: int, shape) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild a tensor of ``shape`` from its
     mode-``mode`` unfolding. Exact (bit-level) roundtrip."""
-    matrix = _as_tensor(matrix)
-    shape = tuple(int(s) for s in shape)
+    matrix = _as_float64(matrix, "fold")
+    shape = tuple(
+        _check_count(s, f"size of mode {n}", least=0) for n, s in enumerate(shape)
+    )
     if not 0 <= mode < len(shape):
         raise ValueError(f"mode {mode} out of range for shape {shape}")
     rest = shape[:mode] + shape[mode + 1 :]
@@ -89,12 +88,12 @@ def fold(matrix, mode: int, shape) -> np.ndarray:
 
 def vectorize(tensor) -> np.ndarray:
     """Row-major flattening of a tensor into a vector."""
-    return _as_tensor(tensor).reshape(-1)
+    return _as_float64(tensor, "vectorize").reshape(-1)
 
 
 def kronecker(a, b) -> np.ndarray:
     """Kronecker product of two matrices."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_float64(a, "kronecker"), _as_float64(b, "kronecker")
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("kronecker expects two matrices")
     return np.kron(a, b)
@@ -106,7 +105,7 @@ def khatri_rao(matrices) -> np.ndarray:
     Column ``r`` of the result is the Kronecker product of the ``r``-th
     columns of the inputs, taken left to right.
     """
-    mats = [_as_tensor(m) for m in matrices]
+    mats = [_as_float64(m, "khatri_rao") for m in matrices]
     if not mats:
         raise ValueError("khatri_rao needs at least one matrix")
     cols = mats[0].shape[1] if mats[0].ndim == 2 else -1
@@ -136,8 +135,8 @@ def mttkrp(tensor, matrices: dict, ranked: bool = False) -> np.ndarray:
     against their Khatri-Rao product, rather than writing a partial that
     holds the run's other axes times the rank.
     """
-    tensor = _as_tensor(tensor)
-    mats = {k: _as_tensor(m) for k, m in matrices.items()}
+    tensor = _as_float64(tensor, "mttkrp")
+    mats = {k: _as_float64(m, "mttkrp") for k, m in matrices.items()}
     rank = next(iter(mats.values())).shape[-1] if mats else None
     for k, m in mats.items():
         if not 0 <= k < tensor.ndim - ranked or m.shape != (tensor.shape[k], rank) or (
@@ -177,7 +176,7 @@ def mttkrp(tensor, matrices: dict, ranked: bool = False) -> np.ndarray:
 
 def hadamard(a, b) -> np.ndarray:
     """Element-wise product; shapes must match exactly."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_float64(a, "hadamard"), _as_float64(b, "hadamard")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a * b
@@ -186,7 +185,7 @@ def hadamard(a, b) -> np.ndarray:
 def outer(vectors) -> np.ndarray:
     """Outer product of one or more vectors: a rank-one tensor with
     element ``(i_0, ..., i_{N-1}) = prod_n v_n[i_n]``."""
-    vecs = [_as_tensor(v) for v in vectors]
+    vecs = [_as_float64(v, "outer") for v in vectors]
     if not vecs:
         raise ValueError("outer needs at least one vector")
     for v in vecs:
@@ -207,7 +206,8 @@ def mode_n_product(tensor, matrix, mode: int) -> np.ndarray:
     over the ``pre`` slabs for an inner mode), with no unfolding and no
     transpose: the result is C-contiguous.
     """
-    tensor, matrix = _as_tensor(tensor), _as_tensor(matrix)
+    tensor = _as_float64(tensor, "mode_n_product")
+    matrix = _as_float64(matrix, "mode_n_product")
     _check_mode(tensor, mode)
     if matrix.ndim != 2:
         raise ValueError("mode_n_product expects a matrix")
@@ -232,20 +232,21 @@ def multi_mode_product(tensor, matrices, modes=None, transpose=False) -> np.ndar
     With ``transpose=True`` each matrix is applied transposed, which is
     the usual projection onto factor subspaces.
     """
-    tensor = _as_tensor(tensor)
+    tensor = _as_float64(tensor, "multi_mode_product")
     matrices = list(matrices)
     if modes is None:
         modes = range(len(matrices))
     out = tensor
     for mode, matrix in zip(modes, matrices):
-        m = _as_tensor(matrix)
+        m = _as_float64(matrix, "multi_mode_product")
         out = mode_n_product(out, m.T if transpose else m, mode)
     return out
 
 
 def mode_n_vec_product(tensor, vector, mode: int) -> np.ndarray:
     """Contract mode ``mode`` with a vector; the order drops by one."""
-    tensor, vector = _as_tensor(tensor), _as_tensor(vector)
+    tensor = _as_float64(tensor, "mode_n_vec_product")
+    vector = _as_float64(vector, "mode_n_vec_product")
     _check_mode(tensor, mode)
     if vector.ndim != 1 or vector.shape[0] != tensor.shape[mode]:
         raise ValueError(
@@ -257,7 +258,8 @@ def mode_n_vec_product(tensor, vector, mode: int) -> np.ndarray:
 
 def inner(x, y) -> float:
     """Inner product of two same-shaped tensors (sum of element products)."""
-    x, y = _as_tensor(x), _as_tensor(y)
+    x = np.asarray(_as_float64(x, "inner"), order="C")
+    y = np.asarray(_as_float64(y, "inner"), order="C")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.dot(x.reshape(-1), y.reshape(-1)))
@@ -271,9 +273,9 @@ def generalized_inner(x, y, n_shared: int) -> np.ndarray:
     ``x`` are contracted with the leading ``N`` modes of ``y``, giving a
     ``D_x x D_y`` matrix.
     """
-    x, y = _as_tensor(x), _as_tensor(y)
-    if n_shared < 1:
-        raise ValueError("n_shared must be at least 1")
+    x = _as_float64(x, "generalized_inner")
+    y = _as_float64(y, "generalized_inner")
+    n_shared = _check_count(n_shared, "n_shared")
     if x.ndim != n_shared + 1 or y.ndim != n_shared + 1:
         raise ValueError(
             "generalized_inner expects one free mode on each argument"
@@ -307,7 +309,8 @@ def mode_n_conv1d(tensor, kernel, mode: int) -> np.ndarray:
     ``out[..., i, ...] = sum_k kernel[k] * T[..., i + k, ...]`` with the
     output extent ``I_mode - K + 1`` (no padding).
     """
-    tensor, kernel = _as_tensor(tensor), _as_tensor(kernel)
+    tensor = _as_float64(tensor, "mode_n_conv1d")
+    kernel = _as_float64(kernel, "mode_n_conv1d")
     _check_mode(tensor, mode)
     if kernel.ndim != 1:
         raise ValueError("kernel must be a vector")
@@ -326,25 +329,26 @@ def norm_lp(tensor, p: float) -> float:
     """Element-wise l_p norm, ``p >= 1``."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = _as_tensor(linalg._check_real(tensor, "norm_lp"))
-    if p == 2:
+    x = _as_float64(tensor, "norm_lp")
+    if p == 2:  # in C order: BLAS rounds a strided dot product differently
+        x = np.asarray(x, order="C")
         return float(np.sqrt(np.vdot(x, x)))
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
 def norm_l0(tensor) -> int:
     """Number of nonzero elements (l_0 pseudo-norm)."""
-    return int(np.count_nonzero(_as_tensor(tensor)))
+    return int(np.count_nonzero(_as_float64(tensor, "norm_l0")))
 
 
 def frobenius(tensor) -> float:
     """Frobenius norm; identical to ``norm_lp(tensor, 2)``."""
-    return norm_lp(linalg._check_real(tensor, "frobenius"), 2.0)
+    return norm_lp(_as_float64(tensor, "frobenius"), 2.0)
 
 
 def schatten(matrix, p: float) -> float:
     """Schatten-p norm: the l_p norm of the singular values."""
-    matrix = _as_tensor(matrix)
+    matrix = _as_float64(matrix, "schatten")
     if matrix.ndim != 2:
         raise ValueError("schatten norm is defined for matrices")
     return norm_lp(linalg.svd(matrix).S, p)

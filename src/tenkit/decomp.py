@@ -24,6 +24,7 @@ from .core import (
     multi_mode_product,
     unfold,
 )
+from .linalg import _as_float64, _check_count
 
 __all__ = [
     "KruskalTensor",
@@ -57,8 +58,8 @@ class KruskalTensor:
     factors: list
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
+        self.weights = _as_float64(self.weights, "weights")
+        self.factors = [_as_float64(f, "factors") for f in self.factors]
         if self.weights.ndim != 1:
             raise ValueError("weights must be a vector")
         r = self.weights.shape[0]
@@ -92,8 +93,8 @@ class TuckerTensor:
     factors: list
 
     def __post_init__(self):
-        self.core = np.asarray(self.core, dtype=np.float64)
-        self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
+        self.core = _as_float64(self.core, "core")
+        self.factors = [_as_float64(f, "factors") for f in self.factors]
         if len(self.factors) != self.core.ndim:
             raise ValueError(
                 f"need one factor per core mode: core order "
@@ -129,7 +130,7 @@ class TTTensor:
     cores: list
 
     def __post_init__(self):
-        self.cores = [np.asarray(c, dtype=np.float64) for c in self.cores]
+        self.cores = [_as_float64(c, "cores") for c in self.cores]
         if not self.cores:
             raise ValueError("TTTensor needs at least one core")
         for k, c in enumerate(self.cores):
@@ -173,29 +174,12 @@ class DecompOptions:
     init: str = "hosvd"
 
     def __post_init__(self):
-        if not _is_int(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_count(self.max_iters, "max_iters")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"unknown init {self.init!r}")
-        _check_int(self.seed, "seed", least=0)
-
-
-def _is_int(value) -> bool:
-    # an int, numpy's included, and not a bool: int() would truncate a 2.5
-    # and overflow on inf, and True would count as 1
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_int(value, name, least=1):
-    # an integer (see _is_int) of at least ``least``
-    if not _is_int(value) or value < least:
-        kind = "a positive" if least else "a non-negative"
-        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
-    return int(value)
+        _check_count(self.seed, "seed", least=0)
 
 
 def kruskal_to_tensor(k: KruskalTensor) -> np.ndarray:
@@ -323,7 +307,7 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
         raise ValueError("cp_als needs a tensor of order 1 or more")
     if not x.size:
         raise ValueError(f"cp_als needs every mode of size 1 or more, got {x.shape}")
-    rank = _check_int(rank, "rank")
+    rank = _check_count(rank, "rank")
     opts = opts or DecompOptions()
     rng = np.random.default_rng(opts.seed)
 
@@ -364,7 +348,7 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
 
 
 def _check_tucker_ranks(shape, ranks):
-    ranks = tuple(_check_int(r, f"rank for mode {n}") for n, r in enumerate(ranks))
+    ranks = tuple(_check_count(r, f"rank for mode {n}") for n, r in enumerate(ranks))
     if len(ranks) != len(shape):
         raise ValueError(
             f"need one rank per mode: shape {shape}, ranks {ranks}"
@@ -495,10 +479,10 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
     feasible = tt_max_ranks(x.shape)
     if ranks is not None:
         if np.isscalar(ranks):
-            cap = _check_int(ranks, "rank cap")
+            cap = _check_count(ranks, "rank cap")
             chain = tuple(min(cap, f) for f in feasible)
         else:
-            chain = tuple(_check_int(r, f"rank R_{k}") for k, r in enumerate(ranks))
+            chain = tuple(_check_count(r, f"rank R_{k}") for k, r in enumerate(ranks))
             if len(chain) != n + 1:
                 raise ValueError(
                     f"rank chain must have length {n + 1}, got {len(chain)}"
@@ -556,10 +540,8 @@ class MpcaResult:
     total_scatter: float = 0.0
 
     def __post_init__(self):
-        self.cores = np.asarray(self.cores, dtype=np.float64)
-        self.projections = [
-            np.asarray(p, dtype=np.float64) for p in self.projections
-        ]
+        self.cores = _as_float64(self.cores, "cores")
+        self.projections = [_as_float64(p, "projections") for p in self.projections]
         if self.cores.ndim != len(self.projections) + 1:
             raise ValueError(
                 f"need one projection per core mode but the last: core "

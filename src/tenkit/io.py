@@ -32,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .linalg import _check_real
+from .linalg import _as_float64
 
 __all__ = [
     "FormatError",
@@ -53,7 +53,7 @@ class FormatError(ValueError):
 
 def write_tnsr(path, tensor) -> None:
     """Write a tensor to ``path`` in the TNSR container format."""
-    arr = np.ascontiguousarray(_check_real(tensor, "write_tnsr"), dtype="<f8")
+    arr = np.ascontiguousarray(_as_float64(tensor, "write_tnsr"), dtype="<f8")
     if arr.ndim < 1:
         arr = arr.reshape(1)
     with open(path, "wb") as fh:
@@ -117,7 +117,7 @@ def read_tnsr(path) -> np.ndarray:
                 f"{path}: payload at byte {shape_end} has {actual} bytes, "
                 f"expected {expected} (shape {tuple(shape)})"
             )
-    return arr.astype(np.float64, copy=False)
+    return _as_float64(arr, "read_tnsr")
 
 
 def _dump_manifest(path, manifest: dict) -> None:

@@ -12,6 +12,14 @@ Determinism: ``svd`` post-processes the LAPACK output with a fixed sign
 convention (in each column of U the largest-magnitude entry is made
 non-negative, first such entry on ties, V adjusted to match), so
 repeated calls on identical input are bit-identical.
+
+Input gate: every public entry point of the package admits its array
+arguments through ``_as_float64``, which casts bool, integer and float
+dtypes to float64 and refuses any other dtype (complex, object, string,
+datetime, void) with ``ValueError`` naming the argument or its caller,
+and its counts through ``_check_count``: integers, never bools or floats.
+The solvers' gate ``check_finite`` also returns C order, so no solver
+result depends on the memory layout of its input.
 """
 
 from __future__ import annotations
@@ -56,27 +64,35 @@ class SVDResult:
         return self.S.shape[0]
 
 
-def _check_real(a, name: str) -> np.ndarray:
-    """``a`` as an array; ``ValueError`` naming ``name`` and the dtype if
-    it is complex. Call it before a float64 cast, which would drop the
-    imaginary part with only a warning."""
+def _as_float64(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array if its dtype is bool, integer or float
+    (no copy when it already is float64); ``ValueError`` naming ``name``
+    and the dtype otherwise. A plain float64 cast would drop an imaginary
+    part with only a warning and parse strings as numbers."""
     a = np.asarray(a)
-    if np.iscomplexobj(a):
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} requires real entries, got {a.dtype}")
-    return a
+    return a.astype(np.float64, copy=False)
+
+
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy's included, of
+    at least ``least``; ``ValueError`` naming ``name`` otherwise. A bool is
+    not a count, and a float is refused: ``int()`` would truncate 2.5 and
+    overflow on inf."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
 
 
 def check_finite(a, name: str) -> np.ndarray:
-    """``a`` as float64; ``ValueError`` naming ``name`` if it is complex,
-    or with the count of NaN or infinite entries if there are any."""
-    a = _check_real(a, name)
-    try:
-        a = a.astype(np.float64, copy=False)
-    except TypeError as exc:
-        # an object array holding complex numbers has no complex dtype
-        raise ValueError(
-            f"{name} requires real entries, got {a.dtype} ({exc})"
-        ) from None
+    """``a`` as a C-ordered float64 array (see :func:`_as_float64`), so
+    that a solver's result does not depend on the memory layout of its
+    input; ``ValueError`` naming ``name`` if it is not real, or with the
+    count of NaN or infinite entries if there are any."""
+    a = np.asarray(_as_float64(a, name), order="C")
     bad = a.size - np.count_nonzero(np.isfinite(a))
     if bad:
         raise ValueError(
@@ -92,7 +108,7 @@ def column_signs(u) -> np.ndarray:
     Multiplying paired factor columns (U and V of an SVD, or the factors
     of a Kruskal tensor) by these signs fixes their sign ambiguity.
     """
-    u = np.asarray(u)
+    u = _as_float64(u, "column_signs")
     # np.argmax picks the first maximal entry, which breaks ties by
     # lowest row index.
     idx = np.argmax(np.abs(u), axis=0)
@@ -116,11 +132,11 @@ def svd(a) -> SVDResult:
 def truncated_svd(a, rank: int) -> SVDResult:
     """Leading-``rank`` part of the SVD (the best rank-``rank``
     approximation, by Eckart-Young)."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_float64(a, "truncated_svd")
     if a.ndim != 2:
         raise ValueError("truncated_svd expects a matrix")
     k = min(a.shape)
-    if not 1 <= rank <= k:
+    if _check_count(rank, "rank") > k:
         raise ValueError(f"rank must be in [1, {k}], got {rank}")
     full = svd(a)
     return SVDResult(
@@ -142,7 +158,7 @@ def left_singular_basis(a, rank: int) -> np.ndarray:
     """
     a = check_finite(a, "left_singular_basis")
     rows, cols = a.shape
-    if not 1 <= rank <= rows:
+    if _check_count(rank, "rank") > rows:
         raise ValueError(f"rank must be in [1, {rows}], got {rank}")
     if not rank <= cols < rows:
         lam, v = np.linalg.eigh(a @ a.T)
@@ -159,7 +175,7 @@ def soft_threshold(x, tau: float) -> np.ndarray:
     ``x - clip(x, -tau, tau)``."""
     if not tau >= 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "soft_threshold")
     return x - np.clip(x, -tau, tau)
 
 
@@ -177,7 +193,7 @@ def svt_with_spectrum(a, tau: float) -> tuple:
     sum is the result's nuclear norm."""
     if not tau >= 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
-    r = svd(a)
+    r = svd(_as_float64(a, "svt_with_spectrum"))
     s = np.maximum(r.S - tau, 0.0)
     return (r.U * s) @ r.V.T, s
 
@@ -189,8 +205,7 @@ def lstsq(a, b) -> np.ndarray:
     ``1e-12 * sigma_max`` treated as zero, so rank-deficient and even
     all-zero ``A`` are handled (returning the minimum-norm solution).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _as_float64(a, "lstsq"), _as_float64(b, "lstsq")
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("lstsq expects matrices")
     if a.shape[0] != b.shape[0]:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import generalized_inner, mode_n_product, multi_mode_product
-from .decomp import KruskalTensor, TTTensor, TuckerTensor, _check_int, _is_int, tt_svd
+from .decomp import KruskalTensor, TTTensor, TuckerTensor, tt_svd
+from .linalg import _as_float64, _check_count
 
 __all__ = [
     "TclLayer",
@@ -52,7 +53,7 @@ class TclLayer:
     factors: list
 
     def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
+        self.factors = [_as_float64(f, "factors") for f in self.factors]
         for f in self.factors:
             if f.ndim != 2:
                 raise ValueError("TCL factors must be matrices")
@@ -65,7 +66,7 @@ def tcl_forward(x, layer: TclLayer) -> np.ndarray:
     ``(S, R_1, ..., R_N)``. Equivalent to the fully-connected layer with
     weight ``(V_1 kron ... kron V_N).T`` applied to the flattened batch.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "tcl_forward")
     if x.ndim != len(layer.factors) + 1:
         raise ValueError(
             f"input of order {x.ndim} needs {x.ndim - 1} factors, "
@@ -76,15 +77,17 @@ def tcl_forward(x, layer: TclLayer) -> np.ndarray:
 
 def tcl_param_count(in_dims, ranks) -> int:
     """Parameters of a TCL: ``sum_n I_n * R_n``."""
-    return int(sum(i * r for i, r in zip(in_dims, ranks, strict=True)))
+    in_dims, ranks = _mode_sizes(in_dims, "in_dims"), _mode_sizes(ranks, "ranks")
+    return sum(i * r for i, r in zip(in_dims, ranks, strict=True))
 
 
 def fc_param_count(in_dims, ranks) -> int:
     """Parameters of the dense layer matching a TCL: ``prod_n I_n * R_n``."""
+    in_dims, ranks = _mode_sizes(in_dims, "in_dims"), _mode_sizes(ranks, "ranks")
     out = 1
     for i, r in zip(in_dims, ranks, strict=True):
         out *= i * r
-    return int(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,7 @@ class TrlLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.bias = _as_float64(self.bias, "bias")
         if self.bias.ndim != 1:
             raise ValueError("bias must be a vector")
         if self.weight.factors[-1].shape[0] != self.bias.shape[0]:
@@ -131,7 +134,7 @@ class TrlGrads:
 def _trl_pass(x, layer: TrlLayer):
     """One forward pass: ``(output, backward)``. ``backward(upstream)``
     gives the :class:`TrlGrads` from the intermediates the pass kept."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "TRL input")
     if x.shape[1:] != layer.in_shape:
         raise ValueError(
             f"input modes {x.shape[1:]} do not match layer {layer.in_shape}"
@@ -149,7 +152,7 @@ def _trl_pass(x, layer: TrlLayer):
     t = generalized_inner(z, core, n_in)             # (S, R_out)
 
     def backward(upstream) -> TrlGrads:
-        upstream = np.asarray(upstream, dtype=np.float64)
+        upstream = _as_float64(upstream, "TRL upstream")
         a = upstream @ u_out                             # (S, R_out)
         b = np.moveaxis(np.tensordot(core, a, axes=([n_in], [1])), -1, 0)
         g_factors = []
@@ -190,18 +193,14 @@ def trl_param_count(in_dims, ranks, out_dim: int) -> int:
     ``ranks`` has one entry per input mode plus one for the output
     mode: ``prod(ranks) + sum_n R_n * I_n + R_out * d``.
     """
-    in_dims = tuple(in_dims)
-    ranks = tuple(ranks)
+    in_dims, ranks = _mode_sizes(in_dims, "in_dims"), _mode_sizes(ranks, "ranks")
     if len(ranks) != len(in_dims) + 1:
         raise ValueError("need one rank per input mode plus the output rank")
     core = 1
     for r in ranks:
         core *= r
-    return int(
-        core
-        + sum(r * i for r, i in zip(ranks[:-1], in_dims))
-        + ranks[-1] * out_dim
-    )
+    out_dim = _check_count(out_dim, "out_dim")
+    return core + sum(r * i for r, i in zip(ranks[:-1], in_dims)) + ranks[-1] * out_dim
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +208,10 @@ def trl_param_count(in_dims, ranks, out_dim: int) -> int:
 
 
 def _mode_sizes(shape, name) -> tuple:
-    # decomp._check_int on every size, reported for the whole shape
+    # _check_count on every size, reported for the whole shape
     shape = tuple(shape)
     try:
-        return tuple(_check_int(s, name) for s in shape)
+        return tuple(_check_count(s, name) for s in shape)
     except ValueError:
         raise ValueError(f"{name} must hold positive integers, got {shape}") from None
 
@@ -226,7 +225,7 @@ def tensorize_matrix(w, in_shape, out_shape) -> np.ndarray:
     ``i_k * J_k + j_k``. This is a pure re-indexing and
     :func:`detensorize_matrix` inverts it exactly.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = _as_float64(w, "tensorize_matrix")
     in_shape = _mode_sizes(in_shape, "in_shape")
     out_shape = _mode_sizes(out_shape, "out_shape")
     if len(in_shape) != len(out_shape):
@@ -250,7 +249,7 @@ def tensorize_matrix(w, in_shape, out_shape) -> np.ndarray:
 
 def detensorize_matrix(t, in_shape, out_shape) -> np.ndarray:
     """Inverse of :func:`tensorize_matrix`."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _as_float64(t, "detensorize_matrix")
     in_shape = _mode_sizes(in_shape, "in_shape")
     out_shape = _mode_sizes(out_shape, "out_shape")
     n = len(in_shape)
@@ -307,7 +306,7 @@ def tt_linear_forward(x, layer: TTLinearLayer) -> np.ndarray:
     ``(S, prod(out_shape))``. The weight matrix is never reconstructed:
     the input is contracted with one core at a time.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x, "tt_linear_forward")
     if x.ndim != 2 or x.shape[1] != int(np.prod(layer.in_shape)):
         raise ValueError(
             f"input of shape {x.shape} does not match input width "
@@ -384,9 +383,9 @@ class PolyNet:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
-        self.mix = np.asarray(self.mix, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.factors = [_as_float64(f, "factors") for f in self.factors]
+        self.mix = _as_float64(self.mix, "mix")
+        self.bias = _as_float64(self.bias, "bias")
         if not self.factors:
             raise ValueError("PolyNet needs at least one factor")
         for f in self.factors:
@@ -404,7 +403,7 @@ class PolyNet:
 
 
 def _check_polynet_input(z, net):
-    z = np.asarray(z, dtype=np.float64)
+    z = _as_float64(z, "PolyNet input")
     d = net.factors[0].shape[0]
     if z.ndim not in (1, 2) or z.shape[-1] != d:
         raise ValueError(
@@ -424,7 +423,8 @@ def _polynet_pass(z, net: PolyNet):
 
     def backward(upstream) -> PolyNet:
         # one (d,) input is a batch of one
-        z2, up, x_last = np.atleast_2d(z, upstream, xs[-1])
+        up = _as_float64(upstream, "PolyNet upstream")
+        z2, up, x_last = np.atleast_2d(z, up, xs[-1])
         g_mix = up.T @ x_last
         g_bias = up.sum(axis=0)
         g = up @ net.mix
@@ -485,14 +485,13 @@ def sgd_fit(model, dataset, lr: float, epochs: int):
     """
     if not 0 <= lr < np.inf:
         raise ValueError(f"learning rate must be non-negative and finite, got {lr}")
-    if not _is_int(epochs) or epochs < 0:
-        raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
+    _check_count(epochs, "epochs", least=0)
     if type(model) not in _TRAINABLE:
         raise TypeError(f"cannot train a {type(model).__name__}")
     run, params, grad_arrays = _TRAINABLE[type(model)]
     inputs, targets = dataset
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    inputs = _as_float64(inputs, "sgd_fit")
+    targets = _as_float64(targets, "sgd_fit")
     model = copy.deepcopy(model)
     losses = []
     pred, backward = run(inputs, model)

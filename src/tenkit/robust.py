@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import frobenius
-from .decomp import _is_int
-from .linalg import GRAM_CUTOFF, check_finite, svt_with_spectrum
+from .linalg import GRAM_CUTOFF, _as_float64, _check_count, check_finite, svt_with_spectrum
 
 __all__ = ["RpcaResult", "trpca", "default_lambda"]
 
@@ -70,8 +69,8 @@ class RpcaResult:
 
 def default_lambda(shape) -> float:
     """Sparsity weight heuristic ``1 / sqrt(max mode size)``."""
-    shape = tuple(int(s) for s in shape)
-    if not shape or any(s < 1 for s in shape):
+    shape = tuple(_check_count(s, f"size of mode {n}") for n, s in enumerate(shape))
+    if not shape:
         raise ValueError(f"invalid shape {shape}")
     return float(1.0 / np.sqrt(max(shape)))
 
@@ -176,10 +175,7 @@ def trpca(
     """
     x = check_finite(x, "trpca")
     n_modes = x.ndim
-    if not _is_int(max_iters):
-        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
+    max_iters = _check_count(max_iters, "max_iters")
     if lam is None:
         lam = default_lambda(x.shape)
     if not 0 < lam < np.inf:
@@ -189,7 +185,7 @@ def trpca(
     if alpha is None:
         alpha = np.full(n_modes, 1.0 / n_modes)
     else:
-        alpha = np.asarray(alpha, dtype=np.float64)
+        alpha = _as_float64(alpha, "alpha")
         if alpha.shape != (n_modes,):
             raise ValueError(
                 f"alpha must have one weight per mode ({n_modes}), "

@@ -8,8 +8,6 @@ every model type, so saving and loading cannot drift apart.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .convfact import KruskalConvKernel, SeparableConvKernel, TuckerConvKernel
 from .decomp import KruskalTensor, MpcaResult, TTTensor, TuckerTensor
 from .io import FormatError, load_manifest, save_manifest
@@ -47,7 +45,7 @@ _MODELS = {
             "rank": m.rank,
             "weights": _floats(m.weights),
         },
-        lambda a, meta: KruskalTensor(np.asarray(meta["weights"]), a["factors"]),
+        lambda a, meta: KruskalTensor(meta["weights"], a["factors"]),
     ),
     TuckerTensor: (
         "tucker",
@@ -103,7 +101,7 @@ _MODELS = {
         },
         lambda m: {"rank": m.rank, "weights": _floats(m.weights)},
         lambda a, meta: SeparableConvKernel(
-            np.asarray(meta["weights"]),
+            meta["weights"],
             *a["channel_factors"],
             a["spatial_factors"],
         ),

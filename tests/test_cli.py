@@ -202,7 +202,7 @@ def test_decompose_max_iters_defaults_to_500(tmp_path, capsys, rng, method, rank
         "--max-iters", "-5", "--out", str(tmp_path / "bad"),
     )
     assert code == 1
-    assert err == "error: max_iters must be positive\n"
+    assert err == "error: max_iters must be a positive integer, got -5\n"
 
 
 def test_decompose_tucker_full_ranks(tmp_path, capsys, rng):

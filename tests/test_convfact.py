@@ -179,6 +179,21 @@ def test_kruskal_multiply_counts():
     )
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (lambda: direct_multiply_count((8, 4, 2.5, 3), (4, 10, 10)), "kernel size must be"),
+        (lambda: kruskal_multiply_count((8, 4, 3, 3), 2, (4, 10.5, 10)), "input size must be"),
+        (lambda: kruskal_multiply_count((8, 4, 3, 3), True, (4, 10, 10)), "rank must be"),
+    ],
+    ids=["kernel", "input", "rank"],
+)
+def test_multiply_counts_refuse_a_size_that_is_not_an_integer(count, message):
+    # int() used to truncate the direct count of a 2.5-high kernel
+    with pytest.raises(ValueError, match=message):
+        count()
+
+
 def test_tucker_pipeline_full_rank_hosvd(rng):
     w = rng.standard_normal((3, 3, 3, 3))
     k = TuckerConvKernel(tucker_hosvd(w, (3, 3, 3, 3)))

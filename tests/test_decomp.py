@@ -892,7 +892,7 @@ def test_decomp_options_rejects_a_tol_that_is_not_positive(tol):
 @pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, "3", True])
 def test_decomp_options_rejects_a_max_iters_that_is_not_an_integer(max_iters):
     # the solvers' range(max_iters) would fail with a TypeError instead
-    with pytest.raises(ValueError, match="max_iters must be an integer"):
+    with pytest.raises(ValueError, match="max_iters must be a positive integer"):
         DecompOptions(max_iters=max_iters)
     assert DecompOptions(max_iters=np.int64(3)).max_iters == 3
 

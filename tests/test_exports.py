@@ -1,8 +1,11 @@
 """Every exported name resolves: a deleted function or class cannot
-leave behind an ``__all__`` entry or a package-level import of it."""
+leave behind an ``__all__`` entry or a package-level import of it. And
+only ``linalg`` casts arrays to float64, so the admission policy for
+array arguments has one home."""
 
 import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -37,3 +40,48 @@ def test_package_imports_resolve_to_public_names():
         module = importlib.import_module(f"tenkit.{module_name}")
         assert getattr(tenkit, bound) is getattr(module, name)
         assert name in module.__all__, f"tenkit.{module_name}.{name} is not in __all__"
+
+
+def _is_float64(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("float64", "double")
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "float64")
+    return isinstance(node, ast.Constant) and node.value in (
+        "float", "float64", "double", "d", "f8", "<f8", "=f8", ">f8"
+    )
+
+
+def _float64_casts(source):
+    """(line, dtype) of every np.asarray, np.array, np.ascontiguousarray
+    or .astype call given a float64 dtype."""
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr == "astype":
+            dtypes = node.args[:1]
+        elif func.attr in ("asarray", "array", "ascontiguousarray") and (
+            isinstance(func.value, ast.Name) and func.value.id == "np"
+        ):
+            dtypes = node.args[1:2]
+        else:
+            continue
+        dtypes += [k.value for k in node.keywords if k.arg == "dtype"]
+        yield from ((node.lineno, ast.unparse(d)) for d in dtypes if _is_float64(d))
+
+
+def test_float64_casts_only_in_linalg():
+    # every other module admits arrays through linalg._as_float64; io's
+    # little-endian "<f8" is the TNSR file's byte order, not an admission
+    found = []
+    for name in MODULES:
+        if name == "linalg":
+            continue
+        with open(os.path.join(tenkit.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
+            casts = _float64_casts(fh.read())
+            found += [f"{name}.py:{line} {dtype}" for line, dtype in casts if (name, dtype) != ("io", "'<f8'")]
+    assert found == []
+    assert list(_float64_casts("np.asarray(x, dtype=np.float64); y.astype(float)")) == [
+        (1, "np.float64"), (1, "float"),
+    ]

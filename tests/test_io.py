@@ -405,6 +405,15 @@ def test_hostile_manifest_value_is_value_error_naming_the_key(tmp_path, kind, ke
         load_model(tmp_path / "model")
 
 
+@pytest.mark.parametrize("kind", [KruskalTensor, SeparableConvKernel])
+def test_manifest_weights_given_as_strings_are_refused(tmp_path, kind):
+    # the weights used to be parsed as numbers: ["2.5"] loaded as [2.5]
+    save_model(tmp_path / "model", _one_model_of_every_type()[kind])
+    _edit_manifest(tmp_path / "model", lambda m: m.__setitem__("weights", ["2.5", "1"]))
+    with pytest.raises(ValueError, match="weights requires real entries, got <U3"):
+        load_model(tmp_path / "model")
+
+
 def test_file_entry_naming_no_file_is_format_error(tmp_path, rng):
     model = _tt_model(tmp_path, rng)
     _edit_manifest(model, lambda m: m["files"]["cores"].__setitem__(1, "gone.tnsr"))

@@ -1,13 +1,23 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenkit import (
+    DecompOptions,
     SVDResult,
+    convfact,
+    core,
     cp_als,
+    decomp,
     linalg,
     lstsq,
     mpca,
+    nn,
     soft_threshold,
     svd,
     svt,
@@ -15,6 +25,7 @@ from tenkit import (
     truncated_svd,
     tt_svd,
     tucker_hooi,
+    write_tnsr,
 )
 from tenkit.linalg import (
     check_finite,
@@ -90,6 +101,181 @@ def test_check_finite_counts_bad_entries():
     assert np.array_equal(ok, [[1.0, 2.0]])
 
 
+def _tnsr_bytes(tensor):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.tnsr")
+        write_tnsr(path, tensor)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _r(*shape):
+    # fixed real entries for the arguments a table entry does not vary
+    return np.arange(np.prod(shape)).reshape(shape) % 7 / 7 - 0.4
+
+
+_TRL = nn.TrlLayer(decomp.TuckerTensor(_r(2, 2, 2), [_r(4, 2), _r(5, 2), _r(2, 2)]), _r(2))
+_POLY = nn.PolyNet([_r(4, 2), _r(4, 2)], _r(3, 2), _r(3))
+_KRUSKAL = convfact.KruskalConvKernel(_r(2, 2), _r(3, 2), _r(2, 2), _r(2, 2))
+_TUCKER = convfact.TuckerConvKernel(
+    decomp.TuckerTensor(_r(2, 2, 2, 1), [_r(2, 2), _r(3, 2), _r(2, 2), _r(2, 1)])
+)
+_SHORT = DecompOptions(max_iters=5)
+
+# Every public function that takes arrays, as ``call(*arrays)``, with the
+# shape of each array argument and the name its refusal gives: the
+# function, the argument, or for an alias (nuclear, svt) what it aliases.
+_ARRAY_ARGS = {
+    "unfold": (lambda t: core.unfold(t, 1), [("unfold", (3, 4, 5))]),
+    "fold": (lambda m: core.fold(m, 1, (3, 4, 5)), [("fold", (4, 15))]),
+    "vectorize": (core.vectorize, [("vectorize", (3, 4, 5))]),
+    "kronecker": (core.kronecker, [("kronecker", (2, 3)), ("kronecker", (3, 2))]),
+    "khatri_rao": (
+        lambda a, b: core.khatri_rao([a, b]), [("khatri_rao", (3, 2)), ("khatri_rao", (4, 2))]
+    ),
+    "mttkrp": (
+        lambda t, a, b: core.mttkrp(t, {0: a, 2: b}),
+        [("mttkrp", (3, 4, 5)), ("mttkrp", (3, 2)), ("mttkrp", (5, 2))],
+    ),
+    "hadamard": (core.hadamard, [("hadamard", (3, 4)), ("hadamard", (3, 4))]),
+    "outer": (lambda a, b: core.outer([a, b]), [("outer", (3,)), ("outer", (4,))]),
+    "mode_n_product": (
+        lambda t, m: core.mode_n_product(t, m, 1),
+        [("mode_n_product", (3, 4, 5)), ("mode_n_product", (2, 4))],
+    ),
+    "multi_mode_product": (
+        lambda t, a, b: core.multi_mode_product(t, [a, b], modes=(0, 2)),
+        [("multi_mode_product", shape) for shape in ((3, 4, 5), (2, 3), (2, 5))],
+    ),
+    "mode_n_vec_product": (
+        lambda t, v: core.mode_n_vec_product(t, v, 1),
+        [("mode_n_vec_product", (3, 4, 5)), ("mode_n_vec_product", (4,))],
+    ),
+    "inner": (core.inner, [("inner", (3, 4)), ("inner", (3, 4))]),
+    "generalized_inner": (
+        lambda x, y: core.generalized_inner(x, y, 2),
+        [("generalized_inner", (2, 3, 4)), ("generalized_inner", (3, 4, 5))],
+    ),
+    "mode_n_conv1d": (
+        lambda t, k: core.mode_n_conv1d(t, k, 2),
+        [("mode_n_conv1d", (3, 4, 5)), ("mode_n_conv1d", (2,))],
+    ),
+    # p = 2: the power sum of any other p runs in memory order (see
+    # test_core.test_norm_lp_power_sum_does_not_depend_on_memory_layout)
+    "norm_lp": (lambda t: core.norm_lp(t, 2.0), [("norm_lp", (3, 4, 5))]),
+    "norm_l0": (core.norm_l0, [("norm_l0", (3, 4, 5))]),
+    "frobenius": (core.frobenius, [("frobenius", (3, 4, 5))]),
+    "schatten": (lambda m: core.schatten(m, 1.5), [("schatten", (4, 5))]),
+    "nuclear": (core.nuclear, [("schatten", (4, 5))]),
+    "check_finite": (lambda a: check_finite(a, "check_finite"), [("check_finite", (3, 4))]),
+    "column_signs": (column_signs, [("column_signs", (4, 3))]),
+    "svd": (svd, [("svd", (4, 5))]),
+    "truncated_svd": (lambda a: truncated_svd(a, 2), [("truncated_svd", (4, 5))]),
+    "left_singular_basis": (lambda a: left_singular_basis(a, 2), [("left_singular_basis", (4, 5))]),
+    "soft_threshold": (lambda x: soft_threshold(x, 0.5), [("soft_threshold", (3, 4))]),
+    "svt": (lambda a: svt(a, 0.5), [("svt_with_spectrum", (4, 5))]),
+    "svt_with_spectrum": (lambda a: svt_with_spectrum(a, 0.5), [("svt_with_spectrum", (4, 5))]),
+    "lstsq": (lstsq, [("lstsq", (4, 3)), ("lstsq", (4, 2))]),
+    "KruskalTensor": (
+        lambda w, a, b: decomp.KruskalTensor(w, [a, b]),
+        [("weights", (2,)), ("factors", (3, 2)), ("factors", (4, 2))],
+    ),
+    "TuckerTensor": (
+        lambda c, a, b: decomp.TuckerTensor(c, [a, b]),
+        [("core", (2, 3)), ("factors", (4, 2)), ("factors", (5, 3))],
+    ),
+    "TTTensor": (
+        lambda a, b: decomp.TTTensor([a, b]), [("cores", (1, 3, 2)), ("cores", (2, 4, 1))]
+    ),
+    "MpcaResult": (
+        lambda p, c: decomp.MpcaResult([p], c), [("projections", (4, 2)), ("cores", (2, 5))]
+    ),
+    "cp_als": (lambda x: cp_als(x, 2, _SHORT), [("cp_als", (3, 4, 5))]),
+    "tucker_hosvd": (lambda x: decomp.tucker_hosvd(x, (2, 2, 2)), [("tucker_hosvd", (3, 4, 5))]),
+    "tucker_hooi": (lambda x: tucker_hooi(x, (2, 2, 2), _SHORT), [("tucker_hooi", (3, 4, 5))]),
+    "tt_svd": (tt_svd, [("tt_svd", (3, 4, 5))]),
+    "mpca": (lambda x: mpca(x, (2, 2), _SHORT), [("mpca", (3, 4, 5))]),
+    "multifactor_analysis": (
+        lambda x: decomp.multifactor_analysis(x, 2), [("multifactor_analysis", (3, 4, 5))]
+    ),
+    "trpca": (lambda x: trpca(x, max_iters=20), [("trpca", (3, 4, 5))]),
+    "trpca_alpha": (lambda a: trpca(_r(3, 4, 5), alpha=a, max_iters=20), [("alpha", (3,))]),
+    "tcl_forward": (
+        lambda x, a, b: nn.tcl_forward(x, nn.TclLayer([a, b])),
+        [("tcl_forward", (3, 4, 5)), ("factors", (2, 4)), ("factors", (2, 5))],
+    ),
+    "trl_forward": (
+        lambda x, c, a, b, d, bias: nn.trl_forward(
+            x, nn.TrlLayer(decomp.TuckerTensor(c, [a, b, d]), bias)
+        ),
+        [("TRL input", (3, 4, 5)), ("core", (2, 2, 2)), ("factors", (4, 2)), ("factors", (5, 2)),
+         ("factors", (2, 2)), ("bias", (2,))],
+    ),
+    "trl_grad": (
+        lambda x, up: nn.trl_grad(x, _TRL, up), [("TRL input", (3, 4, 5)), ("TRL upstream", (3, 2))]
+    ),
+    "tensorize_matrix": (
+        lambda w: nn.tensorize_matrix(w, (2, 2), (2, 3)), [("tensorize_matrix", (6, 4))]
+    ),
+    "detensorize_matrix": (
+        lambda t: nn.detensorize_matrix(t, (2, 2), (2, 3)), [("detensorize_matrix", (4, 6))]
+    ),
+    "tt_linear_forward": (
+        lambda x, a, b: nn.tt_linear_forward(
+            x, nn.TTLinearLayer((2, 2), (2, 3), decomp.TTTensor([a, b]))
+        ),
+        [("tt_linear_forward", (3, 4)), ("cores", (1, 4, 2)), ("cores", (2, 6, 1))],
+    ),
+    "polynet_forward": (
+        lambda z, f, m, b: nn.polynet_forward(z, nn.PolyNet([f, f], m, b)),
+        [("PolyNet input", (3, 4)), ("factors", (4, 2)), ("mix", (3, 2)), ("bias", (3,))],
+    ),
+    "polynet_grad": (
+        lambda z, up: nn.polynet_grad(z, _POLY, up),
+        [("PolyNet input", (3, 4)), ("PolyNet upstream", (3, 3))],
+    ),
+    "sgd_fit": (
+        lambda x, y: nn.sgd_fit(_POLY, (x, y), 0.01, 2), [("sgd_fit", (3, 4)), ("sgd_fit", (3, 3))]
+    ),
+    "separable_convnd": (
+        lambda x, w, uo, ui, k: convfact.separable_convnd(
+            x, convfact.SeparableConvKernel(w, uo, ui, [k])
+        ),
+        [("separable_convnd", (3, 5)), ("weights", (2,)), ("u_out", (4, 2)), ("u_in", (3, 2)),
+         ("spatial", (2, 2))],
+    ),
+    "kruskal_conv2d": (
+        lambda x, a, b, c, d: convfact.kruskal_conv2d(x, convfact.KruskalConvKernel(a, b, c, d)),
+        [("kruskal_conv2d", (3, 4, 5)), ("u_out", (2, 2)), ("u_in", (3, 2)), ("spatial", (2, 2)),
+         ("spatial", (2, 2))],
+    ),
+    "tucker_conv2d": (lambda x: convfact.tucker_conv2d(x, _TUCKER), [("tucker_conv2d", (3, 4, 5))]),
+    "conv_nd_direct": (
+        convfact.conv_nd_direct, [("conv_nd_direct", (3, 4, 5)), ("conv_nd_direct", (2, 3, 2, 2))]
+    ),
+    "conv2d_direct": (
+        convfact.conv2d_direct, [("conv2d_direct", (3, 4, 5)), ("conv2d_direct", (2, 3, 2, 2))]
+    ),
+    "conv1x1": (convfact.conv1x1, [("conv1x1", (3, 4, 5)), ("conv1x1", (2, 3))]),
+    "transduce": (lambda e: convfact.transduce(_KRUSKAL, e), [("transduce", (2, 2))]),
+    "decompose_kernel": (
+        lambda k: convfact.decompose_kernel(k, "cp", 2, _SHORT), [("decompose_kernel", (2, 3, 2, 2))]
+    ),
+    "write_tnsr": (_tnsr_bytes, [("write_tnsr", (3, 4, 5))]),
+}
+
+
+def _refusing(call, args, i):
+    # call with argument i made from the refused array, the others real
+    return lambda bad: call(
+        *(np.resize(bad, s) if j == i else np.ones(s) for j, (_, s) in enumerate(args))
+    )
+
+
+# the original entries below feed the first argument of these functions
+_LISTED = {"trpca", "cp_als", "tucker_hooi", "mpca", "tt_svd", "svd", "left_singular_basis"}
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -100,16 +286,82 @@ def test_check_finite_counts_bad_entries():
         ("tt_svd", tt_svd),
         ("svd", lambda x: svd(x[0])),
         ("left_singular_basis", lambda x: left_singular_basis(x[0], 2)),
+        *(
+            pytest.param(name, _refusing(call, args, i), id=f"{key}-{i}")
+            for key, (call, args) in _ARRAY_ARGS.items()
+            for i, (name, _) in enumerate(args)
+            if i or key not in _LISTED
+        ),
     ],
 )
 def test_complex_input_is_refused_naming_the_caller(rng, name, call):
     # the float64 cast used to drop the imaginary part with a ComplexWarning,
-    # which this suite raises as an error, so the check comes before it; an
-    # object array of complex numbers made the cast raise a bare TypeError
+    # which this suite raises as an error, and to parse strings as numbers,
+    # so the check comes before it; an object array of complex numbers made
+    # the cast raise a bare TypeError
     x = rng.standard_normal((3, 4, 5)) + 1j
-    for dtype in ("complex128", "object"):
+    for dtype in ("complex128", "object", "<U"):
         with pytest.raises(ValueError, match=f"{name} requires real entries, got {dtype}"):
             call(x.astype(dtype))
+
+
+_DTYPES = ("bool", "int8", "uint16", "int64", "float16", "float32", "float64")
+_LAYOUTS = ("fortran", "strided", "read-only", "broadcast", "list")
+
+
+def _lay_out(a, layout):
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "strided":  # every other entry of a larger array
+        big = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+        big[..., ::2] = a
+        return big[..., ::2]
+    if layout == "read-only":
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+    if layout == "broadcast":  # the first slab, repeated with stride 0
+        return np.broadcast_to(a[:1], a.shape)
+    return a.tolist()
+
+
+def _bits(out):
+    # an output as nested containers of (dtype, shape, bytes)
+    if hasattr(out, "__dataclass_fields__"):
+        out = vars(out)
+    if isinstance(out, dict):
+        return {k: _bits(v) for k, v in out.items()}
+    if isinstance(out, (list, tuple)):
+        return [_bits(v) for v in out]
+    out = np.asarray(out)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+def _outcome(call, arrays):
+    try:
+        return _bits(call(*arrays))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("key", sorted(_ARRAY_ARGS))
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_prop_real_dtypes_and_layouts_match_the_float64_c_order_copy(key, data):
+    # every public array argument, of any real dtype and in every layout,
+    # gives output bit-identical to its float64 C-order copy
+    call, args = _ARRAY_ARGS[key]
+    arrays = []
+    for _, shape in args:
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        kind = np.dtype(dtype).kind  # signed integers from -3, others from 0
+        a = rng.standard_normal(shape) if kind == "f" else rng.integers(-3 * (kind == "i"), 4, shape)
+        arrays.append(a.astype(dtype))
+    for layout in _LAYOUTS:
+        laid = [_lay_out(a, layout) for a in arrays]
+        copies = [np.array(a, dtype=np.float64, order="C") for a in laid]
+        assert _outcome(call, laid) == _outcome(call, copies), layout
 
 
 def test_check_finite_refuses_complex_even_with_zero_imaginary_part():

@@ -84,6 +84,21 @@ def test_tcl_param_counts():
     assert fc_param_count((8, 8), (4, 4)) == 1024
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda dims: tcl_param_count(dims, (3, 3)),
+        lambda dims: fc_param_count(dims, (3, 3)),
+        lambda dims: trl_param_count(dims, (3, 3, 2), 4),
+    ],
+    ids=["tcl", "fc", "trl"],
+)
+def test_param_counts_refuse_a_size_that_is_not_an_integer(count):
+    # int() used to truncate the tcl count 2.5 * 3 + 3 * 3 = 16.5 to 16
+    with pytest.raises(ValueError, match=re.escape("in_dims must hold positive integers, got (2.5, 3)")):
+        count((2.5, 3))
+
+
 def test_tcl_shape_mismatch(rng):
     with pytest.raises(ValueError):
         tcl_forward(rng.standard_normal((2, 3, 4)), TclLayer([np.eye(3)]))

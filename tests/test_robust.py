@@ -27,6 +27,13 @@ def test_default_lambda_values():
     assert default_lambda((4, 4)) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("size", [2.9, np.inf, 0, True])
+def test_default_lambda_refuses_a_mode_size_that_is_not_a_positive_integer(size):
+    # int() used to truncate 2.9 to 2 (lambda 0.5) and overflow on inf
+    with pytest.raises(ValueError, match=f"size of mode 0 must be a positive integer, got {size}"):
+        default_lambda((size, 4))
+
+
 def test_default_lambda_depends_only_on_max_mode():
     assert default_lambda((25, 3)) == default_lambda((25, 25, 25))
     with pytest.raises(ValueError):
@@ -105,20 +112,20 @@ def test_trpca_rejects_non_finite_input(rng):
 def test_trpca_rejects_non_positive_max_iters(rng):
     x = rng.standard_normal((4, 5, 3))
     for max_iters in (0, -1):
-        with pytest.raises(ValueError, match="max_iters must be positive"):
+        with pytest.raises(ValueError, match="max_iters must be a positive integer"):
             trpca(x, max_iters=max_iters)
 
 
 @pytest.mark.parametrize("max_iters", [np.nan, 2.5, 3.0, "3"])
 def test_trpca_rejects_a_max_iters_that_is_not_an_integer(rng, max_iters):
     x = rng.standard_normal((4, 5, 3))
-    with pytest.raises(ValueError, match="max_iters must be an integer"):
+    with pytest.raises(ValueError, match="max_iters must be a positive integer"):
         trpca(x, max_iters=max_iters)
 
 
 def test_trpca_rejects_a_bool_max_iters(rng):
     # True used to run one iteration
-    with pytest.raises(ValueError, match="max_iters must be an integer, got True"):
+    with pytest.raises(ValueError, match="max_iters must be a positive integer, got True"):
         trpca(rng.standard_normal((4, 5, 3)), max_iters=True)
 
 
