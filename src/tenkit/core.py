@@ -16,12 +16,13 @@ No function broadcasts: shape mismatches raise ``ValueError``.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
 
 from . import linalg
-from .linalg import _as_float64, _check_count
+from .linalg import _as_float64, _check_count, _check_mode
 
 __all__ = [
     "unfold",
@@ -46,11 +47,10 @@ __all__ = [
 ]
 
 
-def _check_mode(tensor: np.ndarray, mode: int) -> None:
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(
-            f"mode {mode} out of range for order-{tensor.ndim} tensor"
-        )
+def _mode_view(a, n: int) -> np.ndarray:
+    """``a`` as ``(pre, I_n, post)``: a view when ``a`` is contiguous."""
+    shape = a.shape
+    return a.reshape(math.prod(shape[:n]), shape[n], math.prod(shape[n + 1 :]))
 
 
 def unfold(tensor, mode: int) -> np.ndarray:
@@ -61,7 +61,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
     indices (see module docstring for the exact index map).
     """
     tensor = _as_float64(tensor, "unfold")
-    _check_mode(tensor, mode)
+    mode = _check_mode(mode, tensor.ndim)
     rest = tensor.shape[:mode] + tensor.shape[mode + 1 :]
     cols = int(np.prod(rest, dtype=np.int64))  # -1 fails when I_mode is 0
     return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], cols)
@@ -74,8 +74,7 @@ def fold(matrix, mode: int, shape) -> np.ndarray:
     shape = tuple(
         _check_count(s, f"size of mode {n}", least=0) for n, s in enumerate(shape)
     )
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
+    mode = _check_mode(mode, len(shape))
     rest = shape[:mode] + shape[mode + 1 :]
     expected = (shape[mode], int(np.prod(rest, dtype=np.int64)))
     if matrix.ndim != 2 or matrix.shape != expected:
@@ -136,7 +135,8 @@ def mttkrp(tensor, matrices: dict, ranked: bool = False) -> np.ndarray:
     holds the run's other axes times the rank.
     """
     tensor = _as_float64(tensor, "mttkrp")
-    mats = {k: _as_float64(m, "mttkrp") for k, m in matrices.items()}
+    # the range of a key is checked with its matrix's fit below
+    mats = {_check_mode(k, None): _as_float64(m, "mttkrp") for k, m in matrices.items()}
     rank = next(iter(mats.values())).shape[-1] if mats else None
     for k, m in mats.items():
         if not 0 <= k < tensor.ndim - ranked or m.shape != (tensor.shape[k], rank) or (
@@ -208,7 +208,7 @@ def mode_n_product(tensor, matrix, mode: int) -> np.ndarray:
     """
     tensor = _as_float64(tensor, "mode_n_product")
     matrix = _as_float64(matrix, "mode_n_product")
-    _check_mode(tensor, mode)
+    mode = _check_mode(mode, tensor.ndim)
     if matrix.ndim != 2:
         raise ValueError("mode_n_product expects a matrix")
     if matrix.shape[1] != tensor.shape[mode]:
@@ -217,12 +217,11 @@ def mode_n_product(tensor, matrix, mode: int) -> np.ndarray:
             f"size {tensor.shape[mode]}"
         )
     shape = tensor.shape
-    pre = int(np.prod(shape[:mode], dtype=np.int64))
-    post = int(np.prod(shape[mode + 1 :], dtype=np.int64))
-    if post == 1:
-        out = tensor.reshape(pre, shape[mode]) @ matrix.T
+    view = _mode_view(tensor, mode)
+    if view.shape[2] == 1:
+        out = view[:, :, 0] @ matrix.T
     else:
-        out = matrix @ tensor.reshape(pre, shape[mode], post)
+        out = matrix @ view
     return out.reshape(shape[:mode] + (matrix.shape[0],) + shape[mode + 1 :])
 
 
@@ -247,7 +246,7 @@ def mode_n_vec_product(tensor, vector, mode: int) -> np.ndarray:
     """Contract mode ``mode`` with a vector; the order drops by one."""
     tensor = _as_float64(tensor, "mode_n_vec_product")
     vector = _as_float64(vector, "mode_n_vec_product")
-    _check_mode(tensor, mode)
+    mode = _check_mode(mode, tensor.ndim)
     if vector.ndim != 1 or vector.shape[0] != tensor.shape[mode]:
         raise ValueError(
             f"vector of length {vector.shape} does not match mode {mode} "
@@ -311,7 +310,7 @@ def mode_n_conv1d(tensor, kernel, mode: int) -> np.ndarray:
     """
     tensor = _as_float64(tensor, "mode_n_conv1d")
     kernel = _as_float64(kernel, "mode_n_conv1d")
-    _check_mode(tensor, mode)
+    mode = _check_mode(mode, tensor.ndim)
     if kernel.ndim != 1:
         raise ValueError("kernel must be a vector")
     k = kernel.shape[0]
@@ -329,9 +328,9 @@ def norm_lp(tensor, p: float) -> float:
     """Element-wise l_p norm, ``p >= 1``."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = _as_float64(tensor, "norm_lp")
-    if p == 2:  # in C order: BLAS rounds a strided dot product differently
-        x = np.asarray(x, order="C")
+    # in C order: BLAS and np.sum round a strided sum differently
+    x = np.asarray(_as_float64(tensor, "norm_lp"), order="C")
+    if p == 2:
         return float(np.sqrt(np.vdot(x, x)))
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 

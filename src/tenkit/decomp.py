@@ -24,7 +24,7 @@ from .core import (
     multi_mode_product,
     unfold,
 )
-from .linalg import _as_float64, _check_count
+from .linalg import _as_float64, _check_count, _check_mode
 
 __all__ = [
     "KruskalTensor",
@@ -440,6 +440,7 @@ def tucker_hooi(
 
 def tt_max_ranks(shape) -> tuple:
     """Maximal feasible TT-rank chain (including the boundary 1s)."""
+    shape = tuple(_check_count(s, f"size of mode {n}") for n, s in enumerate(shape))
     n = len(shape)
     left = [1]
     for s in shape:
@@ -605,10 +606,7 @@ def multifactor_analysis(x, pixel_mode: int, ranks=None) -> TuckerTensor:
     per mode, truncated to ``ranks`` when given (default: full).
     """
     x = linalg.check_finite(x, "multifactor_analysis")
-    if not 0 <= pixel_mode < x.ndim:
-        raise ValueError(
-            f"pixel_mode {pixel_mode} out of range for order-{x.ndim} tensor"
-        )
+    _check_mode(pixel_mode, x.ndim, "pixel_mode")
     if ranks is None:
         ranks = x.shape
     return tucker_hosvd(x, ranks)

@@ -17,7 +17,9 @@ Input gate: every public entry point of the package admits its array
 arguments through ``_as_float64``, which casts bool, integer and float
 dtypes to float64 and refuses any other dtype (complex, object, string,
 datetime, void) with ``ValueError`` naming the argument or its caller,
-and its counts through ``_check_count``: integers, never bools or floats.
+its counts through ``_check_count`` and its mode indices through
+``_check_mode``: integers, never bools or floats, and a mode in
+``[0, N)``.
 The solvers' gate ``check_finite`` also returns C order, so no solver
 result depends on the memory layout of its input.
 """
@@ -85,6 +87,19 @@ def _check_count(value, name: str, least: int = 1) -> int:
         kind = "a positive" if least else "a non-negative"
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)
+
+
+def _check_mode(mode, order, name: str = "mode") -> int:
+    """``mode`` as an ``int`` if it is an integer, numpy's included, in
+    ``[0, order)``; ``ValueError`` naming ``name`` otherwise. A bool is not
+    a mode, and a float is refused rather than indexing as the integer it
+    rounds to or failing with ``TypeError``. With ``order=None`` only the
+    type is checked, for a caller that reports the range itself."""
+    if not isinstance(mode, (int, np.integer)) or isinstance(mode, bool):
+        raise ValueError(f"{name} must be an integer, got {mode!r}")
+    if order is not None and not 0 <= mode < order:
+        raise ValueError(f"{name} {mode} out of range for order-{order} tensor")
+    return int(mode)
 
 
 def check_finite(a, name: str) -> np.ndarray:

@@ -10,11 +10,13 @@ matrix RPCA do; this scaling moves the iterates, not the optimum, and
 takes fewer iterations. It runs in its Douglas-Rachford form, whose whole
 state is one stack ``w`` with ``w_n = L - U_n`` for the scaled dual
 ``U_n`` of split n. Each iteration thresholds the singular values of
-mode n of ``w_n`` at ``alpha_n / rho`` and the sparse part ``X - w_N`` at
-``lambda / (N * rho)``. The duals start at zero and their penalty-weighted
-sum stays zero, so the new ``L`` is half the mean of the mode splits plus
-half of ``X - S``, and the state moves to ``w + (L_new - L) - (M - L_new)``.
-The dual residual is ``rho * sqrt(N + N^2) * ||L_new - L||``.
+mode n of ``w_n`` at ``alpha_n / rho`` (a mode of weight 0 is not
+thresholded: its split is its state) and soft-thresholds the sparse part
+``X - w_N`` at ``lambda / (N * rho)``. The duals start at zero and their
+penalty-weighted sum stays zero, so the new ``L`` is half the mean of the
+mode splits plus half of ``X - S``, and the state moves to
+``w + (L_new - L) - (M - L_new)``. The dual residual is
+``rho * sqrt(N + N^2) * ||L_new - L||``.
 
 The SVT of a mode whose size ``I_n`` is at most the product of the
 others comes from ``eigh`` of the ``I_n x I_n`` mode Gram ``Y_(n) Y_(n)^T``,
@@ -24,18 +26,20 @@ and through the ``I_n x I_n`` matrix ``U W U^T`` otherwise. It falls back
 to the exact :func:`~tenkit.linalg.svt_with_spectrum` on the unfolding
 for a long-side mode, and when the threshold is below
 ``sqrt(eps) * sigma_max``, where a kept singular value could be lost in
-the Gram's rounding.
+the Gram's rounding. Outputs therefore agree with an all-SVD loop to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import frobenius
-from .linalg import GRAM_CUTOFF, _as_float64, _check_count, check_finite, svt_with_spectrum
+from .core import _mode_view, frobenius
+from .linalg import (
+    GRAM_CUTOFF, _as_float64, _check_count, check_finite, soft_threshold, svt_with_spectrum
+)
 
 __all__ = ["RpcaResult", "trpca", "default_lambda"]
 
@@ -82,12 +86,6 @@ def _svt_mode(y, n: int, tau: float) -> tuple:
     return out, _svt_view(_mode_view(y, n), tau, _mode_view(out, n))
 
 
-def _mode_view(a, n: int) -> np.ndarray:
-    """``a`` as ``(pre, I_n, post)``: a view when ``a`` is contiguous."""
-    shape = a.shape
-    return a.reshape(math.prod(shape[:n]), shape[n], math.prod(shape[n + 1 :]))
-
-
 def _svt_view(a, tau: float, out) -> np.ndarray:
     """Write the SVT of the middle mode of the ``(pre, I, post)`` array
     ``a`` into ``out`` and return its kept spectrum ``s - tau``.
@@ -100,12 +98,7 @@ def _svt_view(a, tau: float, out) -> np.ndarray:
     Gram's rounding, takes the exact SVD of ``f``.
     """
     pre, size, post = a.shape
-    if pre == 1:
-        f = a[0]
-    elif post == 1:
-        f = a[:, :, 0].T
-    else:
-        f = a.transpose(1, 0, 2).reshape(size, -1)
+    f = a.transpose(1, 0, 2).reshape(size, -1)
     if size <= pre * post:
         evals, u = np.linalg.eigh(f @ f.T)
         s = np.sqrt(np.maximum(evals, 0.0))
@@ -135,7 +128,8 @@ def trpca(
     max_iters: int = 1000,
     tol: float = 1e-7,
 ) -> RpcaResult:
-    """Robust tensor PCA via consensus ADMM.
+    """Robust tensor PCA via consensus ADMM; the module docstring gives
+    the splits, the state and each iteration's updates.
 
     Parameters
     ----------
@@ -153,20 +147,6 @@ def trpca(
     tol : float
         Positive; stop when ``max(primal, dual)`` residual drops below
         ``tol * ||X||``.
-
-    The state is one stack ``w`` of ``L`` minus each split's scaled dual,
-    for the N + 1 split variables (one per mode with penalty ``rho``, and
-    ``X - S`` with ``N * rho``). ``L`` is ``(mean of the mode splits +
-    X - S) / 2``, since the duals' penalty-weighted sum is zero, and the
-    dual residual is ``rho * sqrt(N + N^2) * ||L_new - L||``. A mode of
-    weight 0 is not thresholded: its split is its state.
-
-    Each mode's SVT is taken from ``eigh`` of its mode Gram, with no
-    unfolding and no SVD, and applied at the rank it keeps; a mode
-    longer than the product of the others, or a threshold below
-    ``sqrt(eps)`` times the largest singular value, takes the exact SVD
-    of the unfolding. Outputs therefore agree with an all-SVD loop to
-    rounding, not bit for bit.
 
     The objective trace holds the split-variable objective
     ``sum_n alpha_n * ||M_n||_* + lambda * ||S||_1`` of every iteration,
@@ -201,19 +181,12 @@ def trpca(
 
     rho = 1e-2
     rho_cap = 1e6
-    dual_scale = math.sqrt(n_modes + n_modes**2)
-    # the state w_n = L - U_n of each split, U_n its scaled dual. The sparse
-    # split's penalty is N * rho, each mode's rho: the duals start at 0 and
-    # their weighted sum stays 0, so L = (mean of the mode splits + X - S) / 2
+    dual_scale = np.sqrt(n_modes + n_modes**2)
+    # the state w_n = L - U_n and the split M_n of each split variable
     state = np.zeros((n_modes + 1, *x.shape))
     splits = np.empty_like(state)
     views = [(_mode_view(state[n], n), _mode_view(splits[n], n)) for n in range(n_modes)]
-    step = np.empty_like(x)
-    # L and S are written in place: three L buffers hold the last, the new
-    # and the best iterate, and two S buffers the new and the best
     low = np.zeros_like(x)
-    lows = [low, np.empty_like(x), np.empty_like(x)]
-    sparses = [np.empty_like(x), np.empty_like(x)]
     trace = []
     # (residual, low, sparse, primal, dual) of the best iterate
     best = (np.inf, None, None)
@@ -225,21 +198,12 @@ def trpca(
                 nuclear += alpha[n] * _svt_view(w_n, alpha[n] / rho, m_n).sum()
             else:
                 m_n[...] = w_n  # the SVT at threshold 0 is the identity
-        # S = v - clip(v, -t, t) is the soft threshold of v = X - w_N
-        t = lam / (n_modes * rho)
-        sparse = sparses[1] if sparses[0] is best[2] else sparses[0]
-        np.subtract(x, state[-1], out=sparse)
-        np.clip(sparse, -t, t, out=splits[-1])
-        sparse -= splits[-1]
+        sparse = soft_threshold(x - state[-1], lam / (n_modes * rho))
         np.subtract(x, sparse, out=splits[-1])
 
         low_prev = low
-        low = next(b for b in lows if b is not low_prev and b is not best[1])
-        np.add.reduce(splits[:-1], axis=0, out=low)
-        low /= n_modes
-        low += splits[-1]
-        low *= 0.5
-        np.subtract(low, low_prev, out=step)
+        low = (np.add.reduce(splits[:-1], axis=0) / n_modes + splits[-1]) * 0.5
+        step = low - low_prev
         gaps = splits  # M - L_new, in place
         gaps -= low
         # w + (L_new - L) - (M - L_new)

@@ -1092,6 +1092,14 @@ def test_multifactor_pixel_mode_range(rng):
         multifactor_analysis(rng.standard_normal((2, 2, 4)), pixel_mode=3)
 
 
+@pytest.mark.parametrize("size", [2.5, True, -2, 0])
+def test_tt_max_ranks_refuses_a_size_that_is_not_a_positive_integer(size):
+    # (2.5, 3) used to give (1, 2.5, 1), (True, 3) (1, 1, 1) and (-2, 3) (-6, -2, -6)
+    with pytest.raises(ValueError, match=f"size of mode 0 must be a positive integer, got {size}"):
+        tt_max_ranks((size, 3))
+    assert tt_max_ranks((np.int64(2), 3)) == (1, 2, 1)
+
+
 def test_cp_and_hooi_fit_the_zero_tensor_exactly():
     x = np.zeros((3, 4, 5))
     kt, cp_info = cp_als(x, 2, return_info=True)

@@ -1,7 +1,8 @@
 """Every exported name resolves: a deleted function or class cannot
 leave behind an ``__all__`` entry or a package-level import of it. And
 only ``linalg`` casts arrays to float64, so the admission policy for
-array arguments has one home."""
+array arguments has one home, and only ``linalg`` calls ``np.clip``, so
+soft thresholding has one home."""
 
 import ast
 import importlib
@@ -85,3 +86,25 @@ def test_float64_casts_only_in_linalg():
     assert list(_float64_casts("np.asarray(x, dtype=np.float64); y.astype(float)")) == [
         (1, "np.float64"), (1, "float"),
     ]
+
+
+def _clip_calls(source):
+    """Line of every ``np.clip`` or ``numpy.clip`` call."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr == "clip" and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"):
+                yield node.lineno
+
+
+def test_clip_only_in_linalg():
+    # linalg.soft_threshold is x - clip(x, -tau, tau); an inline copy of it
+    # elsewhere would be a second implementation
+    found = []
+    for name in MODULES:
+        if name == "linalg":
+            continue
+        with open(os.path.join(tenkit.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
+            found += [f"{name}.py:{line}" for line in _clip_calls(fh.read())]
+    assert found == []
+    assert list(_clip_calls("y = np.clip(x, -1, 1)\nnp.clip(x, 0, None, out=x)")) == [1, 2]

@@ -160,8 +160,6 @@ _ARRAY_ARGS = {
         lambda t, k: core.mode_n_conv1d(t, k, 2),
         [("mode_n_conv1d", (3, 4, 5)), ("mode_n_conv1d", (2,))],
     ),
-    # p = 2: the power sum of any other p runs in memory order (see
-    # test_core.test_norm_lp_power_sum_does_not_depend_on_memory_layout)
     "norm_lp": (lambda t: core.norm_lp(t, 2.0), [("norm_lp", (3, 4, 5))]),
     "norm_l0": (core.norm_l0, [("norm_l0", (3, 4, 5))]),
     "frobenius": (core.frobenius, [("frobenius", (3, 4, 5))]),
