@@ -302,6 +302,7 @@ def direct_multiply_count(kernel_shape, in_shape) -> int:
     """Fused multiply-adds of the direct 2-D convolution."""
     t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
     _, hi, wi = (_check_count(s, "input size") for s in in_shape)
+    _check_kernel_extents((hi, wi), (h, w))
     ho, wo = hi - h + 1, wi - w + 1
     return t * c * h * w * ho * wo
 
@@ -311,6 +312,7 @@ def kruskal_multiply_count(kernel_shape, rank, in_shape) -> dict:
     t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
     _, hi, wi = (_check_count(s, "input size") for s in in_shape)
     rank = _check_count(rank, "rank")
+    _check_kernel_extents((hi, wi), (h, w))
     ho, wo = hi - h + 1, wi - w + 1
     stages = {
         "conv1x1_in": rank * c * hi * wi,

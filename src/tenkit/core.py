@@ -326,7 +326,7 @@ def mode_n_conv1d(tensor, kernel, mode: int) -> np.ndarray:
 
 def norm_lp(tensor, p: float) -> float:
     """Element-wise l_p norm, ``p >= 1``."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     # in C order: BLAS and np.sum round a strided sum differently
     x = np.asarray(_as_float64(tensor, "norm_lp"), order="C")

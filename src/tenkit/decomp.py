@@ -60,6 +60,8 @@ class KruskalTensor:
     def __post_init__(self):
         self.weights = _as_float64(self.weights, "weights")
         self.factors = [_as_float64(f, "factors") for f in self.factors]
+        if not self.factors:
+            raise ValueError("KruskalTensor needs at least one factor")
         if self.weights.ndim != 1:
             raise ValueError("weights must be a vector")
         r = self.weights.shape[0]
@@ -225,19 +227,20 @@ def _fit(x, norm_x, resid_sq, model):
     return 1.0 - np.sqrt(resid_sq) / norm_x
 
 
-def _iterate(sweeps, measure, opts, scale=1.0):
-    # the alternating solvers' outer loop: at most opts.max_iters sweeps,
-    # stopping once measure(state) moves by less than opts.tol * scale;
-    # range comes first in zip, so no sweep runs past the one returned
+def _iterate(steps, measure, done, max_iters):
+    # at most max_iters steps, until done(fits); range leads zip, so no step runs
+    # past the one returned, and steps that end early have nothing left to improve
     fits = []
-    for _, state in zip(range(opts.max_iters), sweeps):
+    for _, state in zip(range(max_iters), steps):
         fits.append(measure(state))
-        converged = len(fits) > 1 and bool(abs(fits[-1] - fits[-2]) < opts.tol * scale)
-        if converged:
+        if done(fits):
             break
-    else:  # sweeps that end before the cap have nothing left to improve
-        converged = len(fits) < opts.max_iters
+    converged = len(fits) < max_iters or bool(done(fits))
     return state, {"fits": fits, "iterations": len(fits), "converged": converged}
+
+
+def _fit_change_below(tol):
+    return lambda fits: len(fits) > 1 and abs(fits[-1] - fits[-2]) < tol
 
 
 def _solve_normal(gram, rhs):
@@ -330,7 +333,9 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
         resid_sq = norm_x**2 - 2.0 * inner + weights @ gram @ weights
         return _fit(x, norm_x, resid_sq, KruskalTensor(weights, factors).to_tensor)
 
-    (weights, _, _), info = _iterate(_als_sweeps(x, factors, rank), fit, opts)
+    (weights, _, _), info = _iterate(
+        _als_sweeps(x, factors, rank), fit, _fit_change_below(opts.tol), opts.max_iters
+    )
 
     # flip each column of every factor but the last so its
     # largest-magnitude entry is positive; compensate in the last factor
@@ -432,7 +437,8 @@ def tucker_hooi(
     core, info = _iterate(
         _hooi_sweeps(x, factors, ranks),
         lambda core: _tucker_fit(x, norm_x, core, factors),
-        opts,
+        _fit_change_below(opts.tol),
+        opts.max_iters,
     )
     result = TuckerTensor(core, factors)
     return (result, info) if return_info else result
@@ -479,7 +485,7 @@ def tt_svd(x, ranks=None, tol: float | None = None) -> TTTensor:
         raise ValueError(f"tol must be positive, got {tol}")
     feasible = tt_max_ranks(x.shape)
     if ranks is not None:
-        if np.isscalar(ranks):
+        if np.ndim(ranks) == 0:
             cap = _check_count(ranks, "rank cap")
             chain = tuple(min(cap, f) for f in feasible)
         else:
@@ -591,8 +597,8 @@ def mpca(x, ranks, opts: DecompOptions | None = None) -> MpcaResult:
     cores, info = _iterate(
         _hooi_sweeps(x, projections, ranks),
         lambda cores: frobenius(cores) ** 2,
-        opts,
-        scale=max(total, 1.0),
+        _fit_change_below(opts.tol * max(total, 1.0)),
+        opts.max_iters,
     )
     return MpcaResult(projections, cores, info["fits"], total)
 

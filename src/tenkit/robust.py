@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _mode_view, frobenius
+from .decomp import _iterate
 from .linalg import (
     GRAM_CUTOFF, _as_float64, _check_count, check_finite, soft_threshold, svt_with_spectrum
 )
@@ -49,10 +50,11 @@ class RpcaResult:
     """Outcome of :func:`trpca`.
 
     ``low_rank + sparse`` reproduces the input up to the feasibility
-    residual. ``converged`` is False when the iteration cap was hit, in
-    which case the best iterate seen (lowest combined residual) is
-    returned instead of the last one. Both residuals are those of the
-    returned iterate: ``primal_residual`` is the norm of every split's gap
+    residual. The returned iterate is always the best one seen (lowest
+    ``max(primal, dual)`` residual); for a converged solve that is the
+    last one, and ``converged`` is False when the iteration cap was hit
+    first. Both residuals are those of the returned iterate:
+    ``primal_residual`` is the norm of every split's gap
     ``M_n - L`` and ``X - S - L``, and ``dual_residual`` is
     ``rho * sqrt(N + N^2) * ||L - L_prev||``, the dual step of N mode
     splits of penalty ``rho`` and one sparse split of ``N * rho``.
@@ -77,13 +79,6 @@ def default_lambda(shape) -> float:
     if not shape:
         raise ValueError(f"invalid shape {shape}")
     return float(1.0 / np.sqrt(max(shape)))
-
-
-def _svt_mode(y, n: int, tau: float) -> tuple:
-    """``fold(svt_with_spectrum(unfold(y, n), tau), n, y.shape)`` and its
-    kept spectrum; see :func:`_svt_view`."""
-    out = np.empty(y.shape)
-    return out, _svt_view(_mode_view(y, n), tau, _mode_view(out, n))
 
 
 def _svt_view(a, tau: float, out) -> np.ndarray:
@@ -121,6 +116,56 @@ def _svt_view(a, tau: float, out) -> np.ndarray:
     return s
 
 
+def _admm_steps(x, lam, alpha):
+    # trpca's ADMM: yields the best (residual, L, S, primal, dual) so far and the objective
+    n_modes = x.ndim
+    rho = 1e-2
+    rho_cap = 1e6
+    dual_scale = np.sqrt(n_modes + n_modes**2)
+    # the state w_n = L - U_n and the split M_n of each split variable
+    state = np.zeros((n_modes + 1, *x.shape))
+    splits = np.empty_like(state)
+    views = [(_mode_view(state[n], n), _mode_view(splits[n], n)) for n in range(n_modes)]
+    low = np.zeros_like(x)
+    best = (np.inf, None, None)
+
+    while True:
+        nuclear = 0.0
+        for n, (w_n, m_n) in enumerate(views):
+            if alpha[n]:
+                nuclear += alpha[n] * _svt_view(w_n, alpha[n] / rho, m_n).sum()
+            else:
+                m_n[...] = w_n  # the SVT at threshold 0 is the identity
+        sparse = soft_threshold(x - state[-1], lam / (n_modes * rho))
+        np.subtract(x, sparse, out=splits[-1])
+
+        low_prev = low
+        low = (np.add.reduce(splits[:-1], axis=0) / n_modes + splits[-1]) * 0.5
+        step = low - low_prev
+        gaps = splits  # M - L_new, in place
+        gaps -= low
+        # w + (L_new - L) - (M - L_new)
+        state -= gaps
+        state += step
+        primal = np.sqrt(np.vdot(gaps, gaps))
+        dual = rho * dual_scale * np.sqrt(np.vdot(step, step))
+        if max(primal, dual) < best[0]:
+            best = (max(primal, dual), low, sparse, primal, dual)
+        yield best, nuclear + lam * np.abs(sparse).sum()
+
+        if primal > 10 * dual and rho * 1.5 <= rho_cap:
+            c = 1.5
+        elif dual > 10 * primal:
+            c = 1 / 1.5
+        else:
+            continue
+        # rho * c scales the duals by 1 / c: w = L + (w - L) / c
+        rho *= c
+        state -= low
+        state /= c
+        state += low
+
+
 def trpca(
     x,
     lam: float | None = None,
@@ -141,9 +186,10 @@ def trpca(
         Non-negative per-mode weights summing to 1; defaults to
         ``1/N`` each.
     max_iters : int
-        Iteration cap (at least 1); hitting it returns the best iterate
-        seen (lowest ``max(primal, dual)`` residual) with
-        ``converged=False``.
+        Iteration cap (at least 1); hitting it gives ``converged=False``.
+        The returned iterate is always the best one seen (lowest
+        ``max(primal, dual)`` residual); for a converged solve that is
+        the last one, the first below ``tol * ||X||``.
     tol : float
         Positive; stop when ``max(primal, dual)`` residual drops below
         ``tol * ||X||``.
@@ -179,61 +225,13 @@ def trpca(
         zero = np.zeros_like(x)
         return RpcaResult(zero, zero.copy(), 0, 0.0, 0.0, True, lam, alpha)
 
-    rho = 1e-2
-    rho_cap = 1e6
-    dual_scale = np.sqrt(n_modes + n_modes**2)
-    # the state w_n = L - U_n and the split M_n of each split variable
-    state = np.zeros((n_modes + 1, *x.shape))
-    splits = np.empty_like(state)
-    views = [(_mode_view(state[n], n), _mode_view(splits[n], n)) for n in range(n_modes)]
-    low = np.zeros_like(x)
-    trace = []
-    # (residual, low, sparse, primal, dual) of the best iterate
-    best = (np.inf, None, None)
-
-    for iterations in range(1, max_iters + 1):
-        nuclear = 0.0
-        for n, (w_n, m_n) in enumerate(views):
-            if alpha[n]:
-                nuclear += alpha[n] * _svt_view(w_n, alpha[n] / rho, m_n).sum()
-            else:
-                m_n[...] = w_n  # the SVT at threshold 0 is the identity
-        sparse = soft_threshold(x - state[-1], lam / (n_modes * rho))
-        np.subtract(x, sparse, out=splits[-1])
-
-        low_prev = low
-        low = (np.add.reduce(splits[:-1], axis=0) / n_modes + splits[-1]) * 0.5
-        step = low - low_prev
-        gaps = splits  # M - L_new, in place
-        gaps -= low
-        # w + (L_new - L) - (M - L_new)
-        state -= gaps
-        state += step
-        primal = np.sqrt(np.vdot(gaps, gaps))
-        dual = rho * dual_scale * np.sqrt(np.vdot(step, step))
-        trace.append(nuclear + lam * np.abs(sparse).sum())
-
-        if max(primal, dual) < best[0]:
-            best = (max(primal, dual), low, sparse, primal, dual)
-        if max(primal, dual) < tol * norm_x:
-            break
-
-        if primal > 10 * dual and rho * 1.5 <= rho_cap:
-            c = 1.5
-        elif dual > 10 * primal:
-            c = 1 / 1.5
-        else:
-            continue
-        # rho * c scales the duals by 1 / c: w = L + (w - L) / c
-        rho *= c
-        state -= low
-        state /= c
-        state += low
-
-    converged = bool(max(primal, dual) < tol * norm_x)
-    if not converged:
-        _, low, sparse, primal, dual = best
-    return RpcaResult(
-        low, sparse, iterations, primal, dual, converged, lam, alpha, trace
+    ((_, low, sparse, primal, dual), _), info = _iterate(
+        _admm_steps(x, lam, alpha),
+        lambda step: (step[0][0], step[1]),
+        lambda trace: trace[-1][0] < tol * norm_x,
+        max_iters,
     )
-
+    trace = [objective for _, objective in info["fits"]]
+    return RpcaResult(
+        low, sparse, info["iterations"], primal, dual, info["converged"], lam, alpha, trace
+    )

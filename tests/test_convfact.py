@@ -194,6 +194,17 @@ def test_multiply_counts_refuse_a_size_that_is_not_an_integer(count, message):
         count()
 
 
+@pytest.mark.parametrize(
+    "kernel_shape, in_shape", [((2, 2, 5, 5), (2, 3, 3)), ((2, 2, 3, 5), (2, 4, 4))]
+)
+def test_multiply_counts_refuse_a_kernel_larger_than_its_input(kernel_shape, in_shape):
+    # the first pair gave a direct count of 100 and depthwise_h = -30
+    with pytest.raises(ValueError, match="must be between 1 and the input extent"):
+        direct_multiply_count(kernel_shape, in_shape)
+    with pytest.raises(ValueError, match="must be between 1 and the input extent"):
+        kruskal_multiply_count(kernel_shape, 2, in_shape)
+
+
 def test_tucker_pipeline_full_rank_hosvd(rng):
     w = rng.standard_normal((3, 3, 3, 3))
     k = TuckerConvKernel(tucker_hosvd(w, (3, 3, 3, 3)))

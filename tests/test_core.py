@@ -560,6 +560,12 @@ def test_norm_lp_rejects_small_p():
         norm_lp(np.ones(3), 0.5)
 
 
+def test_norm_lp_rejects_nan_p():
+    # nan < 1 is False, so the p < 1 guard let nan through to a nan norm
+    with pytest.raises(ValueError, match="p must be >= 1, got nan"):
+        norm_lp(np.ones(3), float("nan"))
+
+
 def test_schatten_identity():
     assert nuclear(np.eye(4)) == pytest.approx(4.0, rel=1e-12)
 

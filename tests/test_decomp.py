@@ -44,6 +44,13 @@ def test_kruskal_to_tensor_rank_one():
     assert np.array_equal(k.to_tensor(), outer([np.array([1.0, 2.0]), np.array([3.0, 4.0])]))
 
 
+def test_kruskal_tensor_refuses_an_empty_factor_list():
+    # KruskalTensor([1.0], []) used to be accepted, and to_tensor() then
+    # raised IndexError
+    with pytest.raises(ValueError, match="KruskalTensor needs at least one factor"):
+        KruskalTensor([1.0], [])
+
+
 def test_kruskal_to_tensor_elementwise(rng):
     k = random_kruskal(rng, (2, 3, 2), 2)
     t = k.to_tensor()
@@ -916,6 +923,14 @@ def test_a_rank_that_is_not_a_positive_integer_is_refused(rng, call, message):
     # int() would truncate 2.7 to 2 and overflow on inf, and True counted as 1
     with pytest.raises(ValueError, match=message):
         call(rng.standard_normal((4, 5, 3)))
+
+
+@pytest.mark.parametrize("cap", [np.array(2), np.array(2.5)])
+def test_tt_svd_refuses_a_0d_array_rank_cap(rng, cap):
+    # np.isscalar misses a 0-d array, which then failed with
+    # "TypeError: iteration over a 0-d array"
+    with pytest.raises(ValueError, match="rank cap must be a positive integer"):
+        tt_svd(rng.standard_normal((4, 5, 3)), ranks=cap)
 
 
 def test_tt_rejects_order_zero():

@@ -1,8 +1,10 @@
 """Every exported name resolves: a deleted function or class cannot
 leave behind an ``__all__`` entry or a package-level import of it. And
 only ``linalg`` casts arrays to float64, so the admission policy for
-array arguments has one home, and only ``linalg`` calls ``np.clip``, so
-soft thresholding has one home."""
+array arguments has one home, only ``linalg`` calls ``np.clip``, so
+soft thresholding has one home, and only ``decomp._iterate`` loops over
+``max_iters``, so the iteration cap and the converged flag have one
+home."""
 
 import ast
 import importlib
@@ -108,3 +110,53 @@ def test_clip_only_in_linalg():
             found += [f"{name}.py:{line}" for line in _clip_calls(fh.read())]
     assert found == []
     assert list(_clip_calls("y = np.clip(x, -1, 1)\nnp.clip(x, 0, None, out=x)")) == [1, 2]
+
+
+def _max_iters_loops(source):
+    """(line, innermost enclosing function) of every ``for`` or ``while``
+    header, comprehensions included, that mentions ``max_iters``."""
+
+    def mentions(header):
+        return any(
+            isinstance(n, ast.Name) and n.id == "max_iters"
+            or isinstance(n, ast.Attribute) and n.attr == "max_iters"
+            for h in header
+            for n in ast.walk(h)
+        )
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.While):
+                header = [child.test]
+            elif isinstance(child, (ast.For, ast.AsyncFor, ast.comprehension)):
+                header = [child.target, child.iter]
+            else:
+                header = []
+            if mentions(header):
+                yield getattr(child, "lineno", None) or node.lineno, func
+            yield from visit(child, func)
+
+    return list(visit(ast.parse(source), None))
+
+
+def test_max_iters_loops_only_in_iterate():
+    # decomp._iterate counts the iterations, applies the cap and decides
+    # converged for every iterative solver; another loop over max_iters
+    # would be a second copy of that policy
+    found = []
+    for name in MODULES:
+        with open(os.path.join(tenkit.__path__[0], f"{name}.py"), encoding="utf-8") as fh:
+            found += [(name, func) for _, func in _max_iters_loops(fh.read())]
+    assert ("decomp", "_iterate") in found
+    assert [f for f in found if f != ("decomp", "_iterate")] == []
+    source = (
+        "def f(opts):\n"
+        "    for i in range(1, opts.max_iters + 1): pass\n"
+        "    while k < max_iters: pass\n"
+        "    return [g(i) for i in range(max_iters)]\n"
+        "for x in y: pass\n"
+    )
+    assert _max_iters_loops(source) == [(2, "f"), (3, "f"), (4, "f")]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rel_err
 from tenkit import default_lambda, fold, robust, trpca, unfold
+from tenkit.core import _mode_view
 from tenkit.linalg import soft_threshold, svt, svt_with_spectrum
 
 
@@ -255,7 +256,8 @@ def test_trpca_of_the_zero_tensor_is_zero():
 
 
 def _assert_svt_mode_matches_exact(y, n, tau):
-    got, spec = robust._svt_mode(y, n, tau)
+    got = np.empty(y.shape)
+    spec = robust._svt_view(_mode_view(y, n), tau, _mode_view(got, n))
     want, want_spec = svt_with_spectrum(unfold(y, n), tau)
     want = fold(want, n, y.shape)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(y).max()
@@ -291,7 +293,8 @@ def test_svt_mode_above_the_spectrum_is_zero(rng):
     y = rng.standard_normal((5, 6, 7))
     for n in range(3):
         smax = np.linalg.norm(unfold(y, n), 2)
-        got, spec = robust._svt_mode(y, n, 1.01 * smax)
+        got = np.empty(y.shape)
+        spec = robust._svt_view(_mode_view(y, n), 1.01 * smax, _mode_view(got, n))
         assert np.array_equal(got, np.zeros(y.shape))
         assert spec.sum() == 0.0
 
