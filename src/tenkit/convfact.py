@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import _correlate, frobenius, mode_n_product, multi_mode_product
 from .decomp import DecompOptions, TuckerTensor, cp_als, tucker_hooi
-from .linalg import _as_float64, _check_count
+from .linalg import _as_float64, _check_count, _check_matrices
 
 __all__ = [
     "KruskalConvKernel",
@@ -84,13 +84,12 @@ class SeparableConvKernel:
         if np.ndim(self.weights) != 1:  # before the cast, so a null is "not a vector"
             raise ValueError("weights must be a vector")
         self.weights = _as_float64(self.weights, "weights")
-        self.u_out = _as_float64(self.u_out, "u_out")
-        self.u_in = _as_float64(self.u_in, "u_in")
-        self.spatial = [_as_float64(m, "spatial") for m in self.spatial]
         r = self.weights.shape[0]
-        mats = [self.u_out, self.u_in, *self.spatial]
-        if any(m.ndim != 2 or m.shape[1] != r for m in mats):
-            raise ValueError("all separable factors must share the rank")
+        (self.u_out,) = _check_matrices([self.u_out], r, "u_out")
+        (self.u_in,) = _check_matrices([self.u_in], r, "u_in")
+        self.spatial = _check_matrices(self.spatial, r, "spatial")
+        if not self.spatial:
+            raise ValueError("SeparableConvKernel needs at least one spatial factor")
 
     @property
     def rank(self) -> int:
@@ -250,12 +249,7 @@ def separable_convnd(x, kernel: SeparableConvKernel) -> np.ndarray:
 def transduce(kernel: SeparableConvKernel, extra_factor) -> SeparableConvKernel:
     """Extend a separable kernel to one more spatial dimension by
     appending a single 1-D factor bank."""
-    extra = _as_float64(extra_factor, "transduce")
-    if extra.ndim != 2 or extra.shape[1] != kernel.rank:
-        raise ValueError(
-            f"extra factor must have {kernel.rank} columns, got shape "
-            f"{extra.shape}"
-        )
+    (extra,) = _check_matrices([extra_factor], kernel.rank, "transduce")
     return SeparableConvKernel(
         weights=kernel.weights.copy(),
         u_out=kernel.u_out.copy(),
@@ -298,21 +292,34 @@ def decompose_kernel(kernel, form: str, ranks, opts: DecompOptions | None = None
     return fact, info
 
 
+def _conv2d_sizes(kernel_shape, in_shape):
+    """``(t, c, h, w), (hi, wi)`` from a ``T x C x H x W`` kernel shape and
+    a ``C x H x W`` input shape that ``conv2d_direct`` would accept;
+    ``ValueError`` naming the argument otherwise."""
+    kernel_shape, in_shape = tuple(kernel_shape), tuple(in_shape)
+    if len(kernel_shape) != 4:
+        raise ValueError(f"kernel_shape must be T x C x H x W, got {kernel_shape}")
+    if len(in_shape) != 3:
+        raise ValueError(f"in_shape must be C x H x W, got {in_shape}")
+    t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
+    ci, hi, wi = (_check_count(s, "input size") for s in in_shape)
+    if c != ci:
+        raise ValueError(f"kernel expects {c} input channels, got {ci}")
+    _check_kernel_extents((hi, wi), (h, w))
+    return (t, c, h, w), (hi, wi)
+
+
 def direct_multiply_count(kernel_shape, in_shape) -> int:
     """Fused multiply-adds of the direct 2-D convolution."""
-    t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
-    _, hi, wi = (_check_count(s, "input size") for s in in_shape)
-    _check_kernel_extents((hi, wi), (h, w))
+    (t, c, h, w), (hi, wi) = _conv2d_sizes(kernel_shape, in_shape)
     ho, wo = hi - h + 1, wi - w + 1
     return t * c * h * w * ho * wo
 
 
 def kruskal_multiply_count(kernel_shape, rank, in_shape) -> dict:
     """Per-stage fused multiply-adds of the Kruskal pipeline."""
-    t, c, h, w = (_check_count(s, "kernel size") for s in kernel_shape)
-    _, hi, wi = (_check_count(s, "input size") for s in in_shape)
+    (t, c, h, w), (hi, wi) = _conv2d_sizes(kernel_shape, in_shape)
     rank = _check_count(rank, "rank")
-    _check_kernel_extents((hi, wi), (h, w))
     ho, wo = hi - h + 1, wi - w + 1
     stages = {
         "conv1x1_in": rank * c * hi * wi,

@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .linalg import _as_float64, _check_count, _check_mode
+from .linalg import _as_float64, _check_count, _check_matrices, _check_mode
 
 __all__ = [
     "unfold",
@@ -104,15 +104,12 @@ def khatri_rao(matrices) -> np.ndarray:
     Column ``r`` of the result is the Kronecker product of the ``r``-th
     columns of the inputs, taken left to right.
     """
-    mats = [_as_float64(m, "khatri_rao") for m in matrices]
+    mats = list(matrices)
     if not mats:
         raise ValueError("khatri_rao needs at least one matrix")
-    cols = mats[0].shape[1] if mats[0].ndim == 2 else -1
-    for m in mats:
-        if m.ndim != 2 or m.shape[1] != cols:
-            raise ValueError(
-                "khatri_rao inputs must be matrices with equal column counts"
-            )
+    mats[0] = _as_float64(mats[0], "khatri_rao")  # fixes the column count
+    cols = mats[0].shape[1] if mats[0].ndim == 2 else None
+    mats = _check_matrices(mats, cols, "khatri_rao")
 
     def kr2(a, b):
         return np.einsum("ir,jr->ijr", a, b).reshape(-1, cols)

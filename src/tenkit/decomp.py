@@ -24,7 +24,7 @@ from .core import (
     multi_mode_product,
     unfold,
 )
-from .linalg import _as_float64, _check_count, _check_mode
+from .linalg import _as_float64, _check_count, _check_matrices, _check_mode
 
 __all__ = [
     "KruskalTensor",
@@ -59,17 +59,11 @@ class KruskalTensor:
 
     def __post_init__(self):
         self.weights = _as_float64(self.weights, "weights")
-        self.factors = [_as_float64(f, "factors") for f in self.factors]
-        if not self.factors:
-            raise ValueError("KruskalTensor needs at least one factor")
         if self.weights.ndim != 1:
             raise ValueError("weights must be a vector")
-        r = self.weights.shape[0]
-        for n, f in enumerate(self.factors):
-            if f.ndim != 2 or f.shape[1] != r:
-                raise ValueError(
-                    f"factor {n} must have {r} columns, got shape {f.shape}"
-                )
+        self.factors = _check_matrices(self.factors, self.weights.shape[0], "factors")
+        if not self.factors:
+            raise ValueError("KruskalTensor needs at least one factor")
 
     @property
     def rank(self) -> int:
@@ -96,18 +90,7 @@ class TuckerTensor:
 
     def __post_init__(self):
         self.core = _as_float64(self.core, "core")
-        self.factors = [_as_float64(f, "factors") for f in self.factors]
-        if len(self.factors) != self.core.ndim:
-            raise ValueError(
-                f"need one factor per core mode: core order "
-                f"{self.core.ndim}, {len(self.factors)} factors"
-            )
-        for n, f in enumerate(self.factors):
-            if f.ndim != 2 or f.shape[1] != self.core.shape[n]:
-                raise ValueError(
-                    f"factor {n} must have {self.core.shape[n]} columns, "
-                    f"got shape {f.shape}"
-                )
+        self.factors = _check_matrices(self.factors, self.core.shape, "factors")
 
     @property
     def ranks(self) -> tuple:
@@ -353,6 +336,10 @@ def cp_als(x, rank: int, opts: DecompOptions | None = None, return_info: bool = 
 
 
 def _check_tucker_ranks(shape, ranks):
+    try:
+        ranks = tuple(ranks)
+    except TypeError:  # a single rank where one per mode belongs
+        raise ValueError(f"need one rank per mode: shape {shape}, ranks {ranks!r}") from None
     ranks = tuple(_check_count(r, f"rank for mode {n}") for n, r in enumerate(ranks))
     if len(ranks) != len(shape):
         raise ValueError(
@@ -548,18 +535,11 @@ class MpcaResult:
 
     def __post_init__(self):
         self.cores = _as_float64(self.cores, "cores")
-        self.projections = [_as_float64(p, "projections") for p in self.projections]
-        if self.cores.ndim != len(self.projections) + 1:
-            raise ValueError(
-                f"need one projection per core mode but the last: core "
-                f"order {self.cores.ndim}, {len(self.projections)} projections"
-            )
-        for n, p in enumerate(self.projections):
-            if p.ndim != 2 or p.shape[1] != self.cores.shape[n]:
-                raise ValueError(
-                    f"projection {n} must have {self.cores.shape[n]} "
-                    f"columns, got shape {p.shape}"
-                )
+        if self.cores.ndim == 0:
+            raise ValueError("cores must stack the samples along a last mode")
+        self.projections = _check_matrices(
+            self.projections, self.cores.shape[:-1], "projections"
+        )
         if not isinstance(self.total_scatter, numbers.Real):
             raise ValueError(
                 f"total_scatter must be a number, got {self.total_scatter!r}"

@@ -19,7 +19,10 @@ dtypes to float64 and refuses any other dtype (complex, object, string,
 datetime, void) with ``ValueError`` naming the argument or its caller,
 its counts through ``_check_count`` and its mode indices through
 ``_check_mode``: integers, never bools or floats, and a mode in
-``[0, N)``.
+``[0, N)``. A list of factor matrices tied by a column count (CP,
+Tucker, MPCA, separable kernels, contraction layers, polynomial
+networks) goes through ``_check_matrices``, which refuses an entry that
+is not a matrix or has the wrong column count, naming ``name[n]``.
 The solvers' gate ``check_finite`` also returns C order, so no solver
 result depends on the memory layout of its input.
 """
@@ -100,6 +103,24 @@ def _check_mode(mode, order, name: str = "mode") -> int:
     if order is not None and not 0 <= mode < order:
         raise ValueError(f"{name} {mode} out of range for order-{order} tensor")
     return int(mode)
+
+
+def _check_matrices(mats, cols, name: str) -> list:
+    """The entries of ``mats`` as float64 matrices (see
+    :func:`_as_float64`, cast under ``name``), each with ``cols`` columns:
+    one ``int`` for every entry, one count per entry (which also fixes
+    the number of entries) or ``None`` for any; ``ValueError`` naming
+    ``name[n]`` and its shape otherwise."""
+    mats = [_as_float64(m, name) for m in mats]
+    if cols is None or isinstance(cols, int):
+        cols = [cols] * len(mats)
+    elif len(cols) != len(mats):
+        raise ValueError(f"{name} must have length {len(cols)}, got {len(mats)}")
+    for n, (m, c) in enumerate(zip(mats, cols)):
+        if m.ndim != 2 or c is not None and m.shape[1] != c:
+            want = "be a matrix" if c is None else f"have {c} columns"
+            raise ValueError(f"{name}[{n}] must {want}, got shape {m.shape}")
+    return mats
 
 
 def check_finite(a, name: str) -> np.ndarray:

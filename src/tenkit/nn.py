@@ -10,13 +10,14 @@ an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import generalized_inner, mode_n_product, multi_mode_product
 from .decomp import KruskalTensor, TTTensor, TuckerTensor, tt_svd
-from .linalg import _as_float64, _check_count
+from .linalg import _as_float64, _check_count, _check_matrices
 
 __all__ = [
     "TclLayer",
@@ -53,10 +54,7 @@ class TclLayer:
     factors: list
 
     def __post_init__(self):
-        self.factors = [_as_float64(f, "factors") for f in self.factors]
-        for f in self.factors:
-            if f.ndim != 2:
-                raise ValueError("TCL factors must be matrices")
+        self.factors = _check_matrices(self.factors, None, "factors")
 
 
 def tcl_forward(x, layer: TclLayer) -> np.ndarray:
@@ -334,14 +332,18 @@ def tt_linear_param_count(layer: TTLinearLayer) -> int:
 # dropout on decompositions
 
 
+def _check_keep_rate(theta) -> None:
+    if not (isinstance(theta, numbers.Real) and 0 < theta <= 1):
+        raise ValueError(f"theta must be in (0, 1], got {theta!r}")
+
+
 def cp_dropout(k: KruskalTensor, theta: float, rng) -> KruskalTensor:
     """Bernoulli dropout on the rank-1 components of a Kruskal tensor.
 
     Each component is kept with probability ``theta``; kept weights are
     rescaled by ``1/theta`` so the reconstruction is unbiased.
     """
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    _check_keep_rate(theta)
     mask = rng.random(k.rank) < theta
     weights = k.weights * mask / theta
     return KruskalTensor(weights, [f.copy() for f in k.factors])
@@ -353,8 +355,7 @@ def tucker_dropout(t: TuckerTensor, theta: float, rng) -> TuckerTensor:
     The core is contracted along each mode with a diagonal Bernoulli
     sketch, rescaled by ``1/theta`` per mode for unbiasedness.
     """
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    _check_keep_rate(theta)
     core = t.core.copy()
     for n, r in enumerate(t.core.shape):
         lam = (rng.random(r) < theta) / theta
@@ -383,17 +384,16 @@ class PolyNet:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.factors = [_as_float64(f, "factors") for f in self.factors]
         self.mix = _as_float64(self.mix, "mix")
         self.bias = _as_float64(self.bias, "bias")
+        if self.mix.ndim != 2:
+            raise ValueError("mix must be a matrix")
+        # the factors and the mix share the column count k
+        self.factors = _check_matrices(self.factors, self.mix.shape[1], "factors")
         if not self.factors:
             raise ValueError("PolyNet needs at least one factor")
-        for f in self.factors:
-            if f.ndim != 2 or f.shape != self.factors[0].shape:
-                raise ValueError("all factors must share the same d x k shape")
-        k = self.factors[0].shape[1]
-        if self.mix.ndim != 2 or self.mix.shape[1] != k:
-            raise ValueError(f"mix must have {k} columns")
+        if any(f.shape != self.factors[0].shape for f in self.factors):
+            raise ValueError("all factors must share the same d x k shape")
         if self.bias.shape != (self.mix.shape[0],):
             raise ValueError("bias length must match mix rows")
 
@@ -483,8 +483,8 @@ def sgd_fit(model, dataset, lr: float, epochs: int):
     one mean-squared-error entry per epoch, recorded after that epoch's
     update. Deterministic: the updates are full-batch.
     """
-    if not 0 <= lr < np.inf:
-        raise ValueError(f"learning rate must be non-negative and finite, got {lr}")
+    if not (isinstance(lr, numbers.Real) and 0 <= lr < np.inf):
+        raise ValueError(f"learning rate must be non-negative and finite, got {lr!r}")
     _check_count(epochs, "epochs", least=0)
     if type(model) not in _TRAINABLE:
         raise TypeError(f"cannot train a {type(model).__name__}")

@@ -104,12 +104,7 @@ def _svt_view(a, tau: float, out) -> np.ndarray:
             left, right = (u, wu.T @ f) if 2 * s.size <= size else (wu @ u.T, f)
             # np.dot: matmul took 3x as long for a k = 1 product into 20 x 400
             # (numpy 2.4, OpenBLAS 0.3.31, one thread)
-            if pre == 1:
-                np.dot(left, right, out=out[0])
-            elif post == 1:
-                np.dot(right.T, left.T, out=out[:, :, 0])
-            else:
-                out[...] = np.dot(left, right).reshape(size, pre, post).transpose(1, 0, 2)
+            out[...] = np.dot(left, right).reshape(size, pre, post).transpose(1, 0, 2)
             return s - tau
     m, s = svt_with_spectrum(f, tau)
     out[...] = m.reshape(size, pre, post).transpose(1, 0, 2)

@@ -195,6 +195,24 @@ def test_multiply_counts_refuse_a_size_that_is_not_an_integer(count, message):
 
 
 @pytest.mark.parametrize(
+    "kernel_shape, in_shape, message",
+    [
+        ((8, 4, 3, 3), (5, 10, 10), "kernel expects 4 input channels, got 5"),
+        ((8, 4, 3), (4, 10, 10), r"kernel_shape must be T x C x H x W, got \(8, 4, 3\)"),
+        ((8, 4, 3, 3), (10, 10), r"in_shape must be C x H x W, got \(10, 10\)"),
+    ],
+    ids=["channels", "kernel-length", "input-length"],
+)
+def test_multiply_counts_refuse_shapes_conv2d_direct_refuses(kernel_shape, in_shape, message):
+    # a channel mismatch used to be counted (18,432 direct MACs for the
+    # first pair) and a short shape failed to unpack
+    with pytest.raises(ValueError, match=message):
+        direct_multiply_count(kernel_shape, in_shape)
+    with pytest.raises(ValueError, match=message):
+        kruskal_multiply_count(kernel_shape, 2, in_shape)
+
+
+@pytest.mark.parametrize(
     "kernel_shape, in_shape", [((2, 2, 5, 5), (2, 3, 3)), ((2, 2, 3, 5), (2, 4, 4))]
 )
 def test_multiply_counts_refuse_a_kernel_larger_than_its_input(kernel_shape, in_shape):
@@ -347,6 +365,13 @@ def test_decompose_kernel_cp_takes_a_numpy_int_rank(rng):
     assert info == ref_info
 
 
+@pytest.mark.parametrize("ranks", [2, np.int64(2), 2.5, None])
+def test_decompose_kernel_tucker_rejects_a_single_rank(rng, ranks):
+    # an int rank used to fail as a bare TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError, match="need one rank per mode"):
+        decompose_kernel(rng.standard_normal((3, 4, 3, 3)), "tucker", ranks)
+
+
 def test_decompose_kernel_tucker_rejects_a_fractional_rank(rng):
     with pytest.raises(ValueError, match="rank for mode 1 must be a positive integer, got 2.5"):
         decompose_kernel(rng.standard_normal((3, 4, 3, 3)), "tucker", (2, 2.5, 2, 2))
@@ -390,8 +415,14 @@ def test_conv1x1_rejects_a_weight_of_the_wrong_width(rng):
         conv1x1(rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 4)))
 
 
+def test_separable_kernel_needs_a_spatial_factor(rng):
+    # an empty bank list used to fail only in reconstruct(), inside einsum
+    with pytest.raises(ValueError, match="SeparableConvKernel needs at least one spatial factor"):
+        SeparableConvKernel(np.ones(2), rng.standard_normal((3, 2)), rng.standard_normal((4, 2)), [])
+
+
 def test_separable_kernel_factors_must_share_the_rank(rng):
-    with pytest.raises(ValueError, match="must share the rank"):
+    with pytest.raises(ValueError, match=r"u_in\[0\] must have 2 columns, got shape \(4, 3\)"):
         SeparableConvKernel(
             np.ones(2), rng.standard_normal((3, 2)), rng.standard_normal((4, 3)),
             [rng.standard_normal((3, 2))],

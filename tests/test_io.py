@@ -344,9 +344,9 @@ def test_manifest_shape_metadata_must_match_the_arrays(tmp_path, rng, model, key
 @pytest.mark.parametrize(
     "name, array, message",
     [
-        ("projections_00.tnsr", np.ones(5), r"projection 0 must have 2 columns, got shape \(5,\)"),
-        ("cores.tnsr", np.ones((2, 3)), "core order 2, 2 projections"),
-        ("cores.tnsr", np.ones((2, 2, 7)), r"projection 1 must have 2 columns, got shape \(4, 3\)"),
+        ("projections_00.tnsr", np.ones(5), r"projections\[0\] must have 2 columns, got shape \(5,\)"),
+        ("cores.tnsr", np.ones((2, 3)), "projections must have length 1, got 2"),
+        ("cores.tnsr", np.ones((2, 2, 7)), r"projections\[1\] must have 2 columns, got shape \(4, 3\)"),
     ],
     ids=["projection-not-a-matrix", "core-order", "core-mode-size"],
 )

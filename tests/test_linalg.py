@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -360,6 +361,50 @@ def test_prop_real_dtypes_and_layouts_match_the_float64_c_order_copy(key, data):
         laid = [_lay_out(a, layout) for a in arrays]
         copies = [np.array(a, dtype=np.float64, order="C") for a in laid]
         assert _outcome(call, laid) == _outcome(call, copies), layout
+
+
+# every factor list: (build from the list, a valid list, its cast name,
+# the entry to spoil); each spoiled entry keeps its row count
+_FACTOR_LISTS = {
+    "khatri_rao": (core.khatri_rao, [np.ones((3, 2)), np.ones((4, 2))], "khatri_rao", 1),
+    "KruskalTensor": (
+        lambda f: decomp.KruskalTensor(np.ones(2), f), [np.ones((3, 2))] * 2, "factors", 1
+    ),
+    "TuckerTensor": (
+        lambda f: decomp.TuckerTensor(np.ones((2, 3)), f),
+        [np.ones((4, 2)), np.ones((5, 3))], "factors", 1,
+    ),
+    "MpcaResult": (
+        lambda p: decomp.MpcaResult(p, np.ones((2, 3, 7))),
+        [np.ones((4, 2)), np.ones((5, 3))], "projections", 0,
+    ),
+    "SeparableConvKernel": (
+        lambda s: convfact.SeparableConvKernel(np.ones(2), np.ones((3, 2)), np.ones((4, 2)), s),
+        [np.ones((3, 2)), np.ones((2, 2))], "spatial", 1,
+    ),
+    "transduce": (lambda e: convfact.transduce(_KRUSKAL, *e), [np.ones((3, 2))], "transduce", 0),
+    "TclLayer": (nn.TclLayer, [np.ones((2, 4)), np.ones((3, 5))], "factors", 1),
+    "PolyNet": (
+        lambda f: nn.PolyNet(f, np.ones((3, 2)), np.ones(3)), [np.ones((4, 2))] * 3, "factors", 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("spoil", ["vector", "columns"])
+@pytest.mark.parametrize("key", sorted(_FACTOR_LISTS))
+def test_factor_lists_refuse_an_entry_naming_its_index(key, spoil):
+    build, mats, name, n = _FACTOR_LISTS[key]
+    build(mats)
+    rows = mats[n].shape[0]
+    # a contraction layer's factors share no column count, so its
+    # misshapen entry is a third-order one
+    bad = {
+        "vector": np.ones(rows),
+        "columns": np.ones((rows, 2, 2)) if key == "TclLayer" else np.ones((rows, 9)),
+    }[spoil]
+    want = "be a matrix" if key == "TclLayer" else f"have {mats[n].shape[1]} columns"
+    with pytest.raises(ValueError, match=re.escape(f"{name}[{n}] must {want}, got shape {bad.shape}")):
+        build([*mats[:n], bad, *mats[n + 1 :]])
 
 
 def test_check_finite_refuses_complex_even_with_zero_imaginary_part():

@@ -351,9 +351,16 @@ def test_cp_dropout_unbiased_mc(rng):
 
 def test_cp_dropout_theta_range(rng):
     k = KruskalTensor(np.ones(2), [np.ones((2, 2))] * 2)
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -0.1, 1.5, np.nan, "0.5", None):
+        with pytest.raises(ValueError, match="theta must be in"):
             cp_dropout(k, bad, np.random.default_rng(0))
+
+
+def test_tucker_dropout_theta_range(rng):
+    t = TuckerTensor(np.ones((2, 2)), [np.ones((2, 2))] * 2)
+    for bad in (0.0, -0.1, 1.5, np.nan, "0.5", None):
+        with pytest.raises(ValueError, match="theta must be in"):
+            tucker_dropout(t, bad, np.random.default_rng(0))
 
 
 def test_tucker_dropout_theta_one_is_identity(rng):
@@ -453,7 +460,7 @@ def test_polynet_batch_matches_per_sample(rng):
 
 def test_polynet_factors_must_be_matrices(rng):
     net = random_polynet(rng)
-    with pytest.raises(ValueError, match="d x k shape"):
+    with pytest.raises(ValueError, match=r"factors\[0\] must have 3 columns, got shape \(4,\)"):
         PolyNet([np.ones(4), *net.factors[1:]], net.mix, net.bias)
 
 
@@ -502,7 +509,7 @@ def test_sgd_rejects_negative_lr(rng):
     layer = random_trl(rng)
     with pytest.raises(ValueError):
         sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), -0.1, 1)
-    for lr in (np.nan, np.inf):
+    for lr in (np.nan, np.inf, "0.1", None):
         with pytest.raises(ValueError, match="learning rate must be non-negative and finite"):
             sgd_fit(layer, (np.zeros((1,) + layer.in_shape), np.zeros((1, 3))), lr, 1)
 
